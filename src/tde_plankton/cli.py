@@ -73,11 +73,6 @@ def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
     (out_dir / "resolved.cfg").write_text(dump_flat(cfg.resolved))
 
 
-def _params_dict(params) -> dict:
-    d = asdict(params)
-    return {k: v for k, v in d.items()}
-
-
 def cmd_equilibria(cfg: RunConfig, out_dir: Path) -> int:
     sweep = cfg.sweep
     if sweep.nt_points > 0:
@@ -285,7 +280,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         json.dumps(
             {
                 "command": "simulate",
-                "params": _params_dict(params),
+                "params": asdict(params),
                 "history_spec": asdict(spec),
                 "dt_hat": dt_hat,
                 "termination": traj.termination.value,

@@ -92,18 +92,22 @@ class TraceOptions:
     initial_direction: tuple[float, ...] | None = None
 
 
-def hopf_residual(u, params: ModelParams) -> np.ndarray:
+def hopf_residual(
+    u, params: ModelParams, lin: linearize.LinearizationData | None = None
+) -> np.ndarray:
     """Raw five-component residual at u = (n, p, z, m, n_total, omega).
 
     Components 1-3 are the steady-state residuals; 4-5 the real and
     imaginary parts of the characteristic function at s = i*omega for the
-    linearization built at (n, p, z, m).
+    linearization built at (n, p, z, m).  A caller that already holds that
+    linearization passes it as ``lin``.
     """
     n, p, z, m, nt, omega = (float(v) for v in u)
     if p <= 0:
         raise DomainError("hopf_residual requires p_star > 0")
     eq_res = equilibria.residuals_at(n, p, z, m, nt, params)
-    lin = linearize.linearization_at(n, p, z, m, params)
+    if lin is None:
+        lin = linearize.linearization_at(n, p, z, m, params)
     val = linearize.char_fn(1j * omega, lin)
     return np.array([eq_res[0], eq_res[1], eq_res[2], val.real, val.imag])
 
@@ -119,16 +123,17 @@ def _pack(u: np.ndarray, m_scale: float) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray, m_scale: float) -> np.ndarray:
-    nt = 10.0 ** x[4]
+    nt = 10.0 ** float(x[4])  # a float power raises OverflowError instead of giving inf
     return np.array([x[0] * nt, x[1] * nt, x[2] * nt, x[3] * m_scale, nt, x[5]])
 
 
 def _scaled_residual(x: np.ndarray, params: ModelParams, m_scale: float) -> np.ndarray:
     u = _unpack(x, m_scale)
     n, p, z, m, nt, omega = u
-    raw = hopf_residual(u, params)
+    # one linearization serves the residual and its scale
+    lin = linearize.linearization_at(float(n), float(p), float(z), float(m), params)
+    raw = hopf_residual(u, params, lin)
     eq_scale = max(1.0, nt)
-    lin = linearize.linearization_at(n, p, z, m, params)
     ch_scale = max(1.0, linearize.char_scale(1j * omega, lin))
     return np.array(
         [raw[0] / eq_scale, raw[1] / eq_scale, raw[2] / eq_scale,
@@ -161,13 +166,15 @@ def _newton_corrector(
 ) -> tuple[np.ndarray, int] | None:
     """Newton on [scaled residual; tangent . (x - plane_point)] from x0.
 
-    Returns (solution, iterations) or None on failure.
+    Returns (solution, iterations) or None on failure.  An iterate whose
+    residual leaves the floating-point range (``math.exp`` or ``10**x``
+    overflowing far outside the domain) counts as a failure too.
     """
     x = x0.copy()
     for it in range(1, opts.max_newton + 1):
         try:
             res = _scaled_residual(x, params, m_scale)
-        except TdePlanktonError:
+        except (TdePlanktonError, OverflowError):
             return None
         arc = float(tangent @ (x - plane_point))
         f = np.concatenate([res, [arc]])
@@ -175,7 +182,7 @@ def _newton_corrector(
             return x, it
         try:
             jac = _fd_jacobian(x, params, m_scale)
-        except TdePlanktonError:
+        except (TdePlanktonError, OverflowError):
             return None
         full = np.vstack([jac, tangent])
         try:
@@ -285,21 +292,24 @@ def find_start(
     opts = TraceOptions()
 
     def res5(y: np.ndarray) -> np.ndarray:
-        nt = 10.0 ** y[3]
+        nt = 10.0 ** float(y[3])
         u = np.array([y[0] * nt, y[1] * nt, y[2] * nt, m_fixed, nt, y[4]])
         return _scaled_residual(_pack(u, m_scale), params, m_scale)
 
     nt = nt_mid
     y = np.array([eq.n_star / nt, eq.p_star / nt, eq.z_star / nt, math.log10(nt), omega0])
     for _ in range(25):
-        r = res5(y)
-        if np.max(np.abs(r)) <= 1e-9:
-            break
-        jac = np.empty((5, 5))
-        for j in range(5):
-            ys = y.copy()
-            ys[j] += FD_STEP
-            jac[:, j] = (res5(ys) - r) / FD_STEP
+        try:
+            r = res5(y)
+            if np.max(np.abs(r)) <= 1e-9:
+                break
+            jac = np.empty((5, 5))
+            for j in range(5):
+                ys = y.copy()
+                ys[j] += FD_STEP
+                jac[:, j] = (res5(ys) - r) / FD_STEP
+        except OverflowError as err:
+            raise NoConvergeError("start-point Newton left the floating-point range") from err
         try:
             y = y - np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as err:

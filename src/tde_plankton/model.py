@@ -206,34 +206,55 @@ def dde_rhs(
     """
     if not (current.p > 0 and delayed.p > 0):
         raise DomainError("dde_rhs requires strictly positive phytoplankton samples")
-    rs = params.require_r_star()
-    r_cur = r_growth(current.p, params)
-    r_del = r_growth(delayed.p, params)
+    params.require_r_star()
+    _check_nonneg(current.n, "n")
+    return StateNPZ(*_rhs(
+        current.n, current.p, current.z, delayed.p, delayed.z, tau_hat_m, params
+    ))
+
+
+def _r(p: float, params: ModelParams) -> float:
+    """R(P) on a plain float already known to be positive."""
+    return 1.0 if params.l is None else p / (p + params.l)
+
+
+def _rhs(
+    n: float, p: float, z: float, p_del: float, z_del: float,
+    tau_hat_m: float, params: ModelParams,
+) -> tuple[float, float, float]:
+    """Unvalidated :func:`dde_rhs` on plain floats, for the integrator loop.
+
+    The caller guarantees p, p_del > 0, n >= 0 and a resolved r_star; the
+    singular-rate guard stays here because it depends on the values.
+    """
+    r_cur = _r(p, params)
+    r_del = _r(p_del, params)
     if r_cur < params.r_floor or r_del < params.r_floor:
         raise SingularRateError(
             f"growth rate below floor {params.r_floor:g} (approaching the phase-space boundary)"
         )
+    rs = params.r_star
     pref = rs / r_cur
-    growth = params.mu * current.p * f_uptake(current.n, params)
-    graze = params.g * current.z * h_grazing(current.p, params)
+    growth = params.mu * p * (n / (n + params.k))
+    graze = params.g * z * (p / (p + params.kk))
     recycle = (
-        params.lam * current.p
-        + params.delta * current.z
+        params.lam * p
+        + params.delta * z
         + (1.0 - params.gamma) * graze
-        + params.delta0 * (params.n_total - current.n - current.p - current.z)
+        + params.delta0 * (params.n_total - n - p - z)
     )
     birth = (
         params.gamma
         * params.g
         * math.exp(-params.delta0 * tau_hat_m)
         * (rs / r_del)
-        * delayed.z
-        * h_grazing(delayed.p, params)
+        * z_del
+        * (p_del / (p_del + params.kk))
     )
-    return StateNPZ(
-        n=pref * (-growth + recycle),
-        p=pref * (growth - params.lam * current.p - graze),
-        z=birth - pref * params.delta * current.z,
+    return (
+        pref * (-growth + recycle),
+        pref * (growth - params.lam * p - graze),
+        birth - pref * params.delta * z,
     )
 
 

@@ -9,18 +9,23 @@ order without history interpolation.  The running threshold quadrature
 tau_hat(m) is advanced panel-by-panel and refreshed from scratch
 periodically to kill accumulation drift.
 
+The conservation residual of every row (N + P + Z plus the juvenile pool,
+minus the total biomass) is not needed by the step loop, so it is filled in
+after the loop by one vectorised pass over the trailing delay windows.
+
 Diagnostics map the run back to physical time, reconstruct the juvenile
-maturity spectrum, measure the conservation and threshold-delay residuals,
-and fit the decay rate of a deliberately injected conservation offset.
+maturity spectrum, measure the threshold-delay residual, and fit the decay
+rate of a deliberately injected conservation offset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import equilibria, model
 from .equilibria import EquilibriumKind
@@ -38,6 +43,11 @@ EXTINCTION_FLOOR_FRAC = 1e-12
 
 #: Steps between from-scratch refreshes of the running threshold quadrature.
 TAU_REFRESH_INTERVAL = 1000
+
+#: Window entries per block of the post-loop conservation pass.  Sizing the
+#: blocks by entries rather than rows keeps the scratch arrays at a few
+#: hundred kB whatever the number of panels per delay.
+CONS_BLOCK_ENTRIES = 1 << 14
 
 
 class Termination(Enum):
@@ -123,7 +133,7 @@ class HistoryBuffer:
         self.t_hat[i] = t_hat
         self.n[i], self.p[i], self.z[i] = state
         if inv_r is None:
-            r = model.r_growth(state.p, self.params)
+            r = model._r(state.p, self.params)
             if r < self.params.r_floor:
                 raise SingularRateError("growth rate below floor while appending history")
             inv_r = self.params.require_r_star() / r
@@ -133,9 +143,6 @@ class HistoryBuffer:
     @property
     def now_index(self) -> int:
         return self.size - 1
-
-    def state_at(self, i: int) -> StateNPZ:
-        return StateNPZ(float(self.n[i]), float(self.p[i]), float(self.z[i]))
 
     def tau_m_from_scratch(self, i_now: int | None = None) -> float:
         """Trapezoid of r_star/R over the delay window ending at i_now."""
@@ -256,12 +263,6 @@ def build_initial(spec: HistorySpec, params: ModelParams, dt_hat: float) -> Hist
     return buf
 
 
-def _conservation_residual(buf: HistoryBuffer, params: ModelParams) -> float:
-    t_w, n_w, p_w, z_w = buf.window()
-    val = model.conservation_value(t_w, n_w, p_w, z_w, params)
-    return val - params.n_total
-
-
 def integrate(
     buf: HistoryBuffer,
     params: ModelParams,
@@ -275,7 +276,8 @@ def integrate(
     maturation lag; stage two at the Euler predictor with the lag updated by
     the predicted panel; the state advances by the stage average.  A step
     that crosses the extinction floor terminates the run at the crossing,
-    located by linear interpolation inside the step.
+    located by linear interpolation inside the step.  The ``cons_residual``
+    column is computed after the loop from the stored samples.
     """
     params = equilibria.resolve_r_star(params)
     if buf.params.r_star != params.r_star:
@@ -283,129 +285,83 @@ def integrate(
     dt = buf.dt_hat
     n_steps = int(round(horizon_hat / dt))
     p_floor = EXTINCTION_FLOOR_FRAC * params.n_total
+    lag = buf.n_delay_panels
 
-    rows_tau, rows_cons = [], []
-    row_index_start = buf.now_index
+    row0 = buf.now_index  # the row for t_hat = 0 (the end of the history window)
+    rows_tau = [buf.tau_m_running]
     termination = Termination.HORIZON_REACHED
     tau_drift_max = 0.0
-
-    # row for t_hat = 0 (the end of the history window)
-    rows_tau.append(buf.tau_m_running)
-    rows_cons.append(_conservation_residual(buf, params))
-
-    hist_slice = slice(0, buf.now_index + 1)
-    hist = (
-        buf.t_hat[hist_slice].copy(),
-        buf.n[hist_slice].copy(),
-        buf.p[hist_slice].copy(),
-        buf.z[hist_slice].copy(),
-        buf.inv_r[hist_slice].copy(),
-    )
-
-    def emit(term: Termination) -> Trajectory:
-        sl = slice(row_index_start, buf.now_index + 1)
-        t_h = buf.t_hat[sl].copy()
-        traj = Trajectory(
-            t_hat=t_h,
-            t=np.full(t_h.size, np.nan),
-            n=buf.n[sl].copy(),
-            p=buf.p[sl].copy(),
-            z=buf.z[sl].copy(),
-            tau_m=np.array(rows_tau),
-            cons_residual=np.array(rows_cons),
-            inv_r=buf.inv_r[sl].copy(),
-            termination=term,
-            dt_hat=dt,
-            params=params,
-            hist_t_hat=hist[0],
-            hist_t=np.full(hist[0].size, np.nan),
-            hist_n=hist[1],
-            hist_p=hist[2],
-            hist_z=hist[3],
-            hist_inv_r=hist[4],
-            tau_drift_max=tau_drift_max,
-        )
-        return traj
+    crossing = None
 
     for step in range(1, n_steps + 1):
         i = buf.now_index
-        cur = buf.state_at(i)
-        if cur.p <= p_floor:
+        cn, cp, cz = float(buf.n[i]), float(buf.p[i]), float(buf.z[i])
+        if cp <= p_floor:
             termination = Termination.EXTINCTION
             break
-        delayed = buf.state_at(i - buf.n_delay_panels)
         tau_now = buf.tau_m_running
         try:
-            k1 = model.dde_rhs(cur, delayed, tau_now, params)
+            k1n, k1p, k1z = model._rhs(
+                cn, cp, cz, float(buf.p[i - lag]), float(buf.z[i - lag]), tau_now, params
+            )
         except SingularRateError:
             termination = Termination.SINGULAR_RATE
             break
 
-        pred = StateNPZ(cur.n + dt * k1.n, cur.p + dt * k1.p, cur.z + dt * k1.z)
-        if pred.p <= p_floor:
-            theta = (cur.p - p_floor) / (cur.p - pred.p)
-            final = StateNPZ(
-                cur.n + theta * dt * k1.n, p_floor, max(cur.z + theta * dt * k1.z, 0.0)
-            )
-            _append_row(buf, rows_tau, rows_cons,
-                        buf.t_hat[i] + theta * dt, final, tau_now)
-            termination = Termination.EXTINCTION
+        pn, pp, pz = cn + dt * k1n, cp + dt * k1p, cz + dt * k1z
+        if pp <= p_floor:
+            theta = (cp - p_floor) / (cp - pp)
+            crossing = (buf.t_hat[i] + theta * dt, StateNPZ(
+                cn + theta * dt * k1n, p_floor, max(cz + theta * dt * k1z, 0.0)
+            ))
             break
-        if pred.n < 0:
+        if pn < 0:
             raise DomainError(
                 "predictor left the positive domain; reduce dt_hat"
             )
 
         # lag over the predicted window: add the new panel, drop the oldest
-        r_pred = model.r_growth(pred.p, params)
+        r_pred = model._r(pp, params)
         if r_pred < params.r_floor:
             termination = Termination.SINGULAR_RATE
             break
         inv_r_pred = params.r_star / r_pred
-        if buf.n_delay_panels > 0:
-            oldest = dt * 0.5 * (buf.inv_r[i - buf.n_delay_panels]
-                                 + buf.inv_r[i - buf.n_delay_panels + 1])
+        if lag > 0:
+            oldest = dt * 0.5 * (buf.inv_r[i - lag] + buf.inv_r[i - lag + 1])
             tau_pred = tau_now + dt * 0.5 * (buf.inv_r[i] + inv_r_pred) - oldest
-            delayed_next = buf.state_at(i + 1 - buf.n_delay_panels)
+            p_del, z_del = float(buf.p[i + 1 - lag]), float(buf.z[i + 1 - lag])
         else:
             # no delay: the "delayed" sample at the next node is the node itself
             tau_pred = 0.0
-            delayed_next = pred
+            p_del, z_del = pp, pz
         try:
-            k2 = model.dde_rhs(pred, delayed_next, tau_pred, params)
+            k2n, k2p, k2z = model._rhs(pn, pp, pz, p_del, z_del, tau_pred, params)
         except SingularRateError:
             termination = Termination.SINGULAR_RATE
             break
 
-        new = StateNPZ(
-            cur.n + 0.5 * dt * (k1.n + k2.n),
-            cur.p + 0.5 * dt * (k1.p + k2.p),
-            cur.z + 0.5 * dt * (k1.z + k2.z),
-        )
-        if new.p <= p_floor:
-            theta = (cur.p - p_floor) / (cur.p - new.p)
-            final = StateNPZ(
-                cur.n + theta * (new.n - cur.n),
-                p_floor,
-                max(cur.z + theta * (new.z - cur.z), 0.0),
-            )
-            _append_row(buf, rows_tau, rows_cons,
-                        buf.t_hat[i] + theta * dt, final, tau_now)
-            termination = Termination.EXTINCTION
+        n_new = cn + 0.5 * dt * (k1n + k2n)
+        p_new = cp + 0.5 * dt * (k1p + k2p)
+        z_new = cz + 0.5 * dt * (k1z + k2z)
+        if p_new <= p_floor:
+            theta = (cp - p_floor) / (cp - p_new)
+            crossing = (buf.t_hat[i] + theta * dt, StateNPZ(
+                cn + theta * (n_new - cn), p_floor, max(cz + theta * (z_new - cz), 0.0)
+            ))
             break
-        if new.z < 0:
-            if new.z > -1e-12 * params.n_total:
-                new = StateNPZ(new.n, new.p, 0.0)  # roundoff in the collapsed tail
+        if z_new < 0:
+            if z_new > -1e-12 * params.n_total:
+                z_new = 0.0  # roundoff in the collapsed tail
             else:
                 raise DomainError(
                     "corrected step drove zooplankton negative; reduce dt_hat"
                 )
-        if new.n <= 0:
+        if n_new <= 0:
             raise DomainError("corrected step drove nutrient nonpositive; reduce dt_hat")
 
-        buf.append(buf.t_hat[i] + dt, new)
-        j = buf.now_index
-        if buf.n_delay_panels > 0:
+        buf.append(buf.t_hat[i] + dt, StateNPZ(n_new, p_new, z_new))
+        if lag > 0:
+            j = i + 1
             tau_new = tau_now + dt * 0.5 * (buf.inv_r[j - 1] + buf.inv_r[j]) - oldest
             if step % tau_refresh_interval == 0:
                 scratch = buf.tau_m_from_scratch()
@@ -415,23 +371,83 @@ def integrate(
             tau_new = 0.0
         buf.tau_m_running = tau_new
         rows_tau.append(tau_new)
-        rows_cons.append(_conservation_residual(buf, params))
 
-    return emit(termination)
+    cons = _conservation_residuals(buf, params, row0, buf.now_index)
+    if crossing is not None:
+        # The floor-crossing row sits off the uniform grid and the growth
+        # rate has collapsed there, so it carries the last regular 1/R factor
+        # (its physical time is then a lower bound; the true transform
+        # diverges at the boundary), the last lag and the last on-grid
+        # conservation residual.
+        termination = Termination.EXTINCTION
+        buf.append(*crossing, inv_r=float(buf.inv_r[buf.now_index]))
+        rows_tau.append(rows_tau[-1])
+        cons = np.append(cons, cons[-1])
+
+    # appends never touch earlier samples, so the history is still in place
+    sl, hist = slice(row0, buf.now_index + 1), slice(0, row0 + 1)
+    return Trajectory(
+        t_hat=buf.t_hat[sl].copy(),
+        t=np.full(sl.stop - row0, np.nan),
+        n=buf.n[sl].copy(),
+        p=buf.p[sl].copy(),
+        z=buf.z[sl].copy(),
+        tau_m=np.array(rows_tau),
+        cons_residual=cons,
+        inv_r=buf.inv_r[sl].copy(),
+        termination=termination,
+        dt_hat=dt,
+        params=params,
+        hist_t_hat=buf.t_hat[hist].copy(),
+        hist_t=np.full(row0 + 1, np.nan),
+        hist_n=buf.n[hist].copy(),
+        hist_p=buf.p[hist].copy(),
+        hist_z=buf.z[hist].copy(),
+        hist_inv_r=buf.inv_r[hist].copy(),
+        tau_drift_max=tau_drift_max,
+    )
 
 
-def _append_row(buf, rows_tau, rows_cons, t_hat, state, tau):
-    """Record the floor-crossing event.
+def _conservation_residuals(
+    buf: HistoryBuffer, params: ModelParams, first: int, last: int
+) -> np.ndarray:
+    """N + P + Z + juvenile pool - n_total at the grid rows first..last.
 
-    The row sits off the uniform grid and the growth rate has collapsed
-    there, so it carries the last regular 1/R factor (its physical time is
-    then a lower bound; the true transform diverges at the boundary) and the
-    last on-grid juvenile pool.
+    Evaluates :func:`model.conservation_value` on the trailing delay window
+    of every row at once: the same trapezoid rules, with 1/R from the stored
+    r_star/R(P) factors and each window's step taken from its own first two
+    stored times.  (The stored times drift from multiples of dt_hat by
+    rounding; over the fig7 horizon a fixed dt_hat would move the residual
+    by 1e-12*n_total.)  Windows are processed in blocks of about
+    CONS_BLOCK_ENTRIES entries.
     """
-    buf.append(t_hat, state, inv_r=float(buf.inv_r[buf.now_index]))
-    buf.tau_m_running = tau
-    rows_tau.append(tau)
-    rows_cons.append(rows_cons[-1] if rows_cons else 0.0)
+    rows = slice(first, last + 1)
+    out = buf.n[rows] + buf.p[rows] + buf.z[rows]
+    lag = buf.n_delay_panels
+    if lag == 0:
+        return out - params.n_total
+    rs = params.r_star
+    span = slice(first - lag, last + 1)
+    t_hat, inv_r = buf.t_hat[span], buf.inv_r[span]
+    z, p = buf.z[span], buf.p[span]
+    # per-sample birth flux over r_star, and the sums of neighbouring 1/R
+    # factors that make up the lag trapezoid
+    weight = params.gamma * params.g * z * model.h_grazing(p, params) * inv_r / rs
+    pair = inv_r[:-1] + inv_r[1:]
+    dt = t_hat[1:] - t_hat[:-1]
+    # window k covers samples k..k+lag; reversed, it runs from "now" backwards
+    weight_win = sliding_window_view(weight, lag + 1)[:, ::-1]
+    pair_win = sliding_window_view(pair, lag)[:, ::-1]
+    block = max(1, CONS_BLOCK_ENTRIES // (lag + 1))
+    for a in range(0, out.size, block):
+        b = min(a + block, out.size)
+        tau = np.zeros((b - a, lag + 1))
+        np.cumsum(dt[a:b, None] * 0.5 * pair_win[a:b], axis=1, out=tau[:, 1:])
+        integrand = np.exp(-params.delta0 * tau) * weight_win[a:b]
+        out[a:b] += rs * dt[a:b] * (
+            integrand[:, 0] / 2 + integrand[:, 1:-1].sum(axis=1) + integrand[:, -1] / 2
+        )
+    return out - params.n_total
 
 
 def to_physical_time(traj: Trajectory, params: ModelParams) -> Trajectory:
@@ -449,26 +465,7 @@ def to_physical_time(traj: Trajectory, params: ModelParams) -> Trajectory:
         hist_t = cum - cum[-1]
     else:
         hist_t = np.zeros_like(traj.hist_t_hat)
-    return Trajectory(
-        t_hat=traj.t_hat,
-        t=t,
-        n=traj.n,
-        p=traj.p,
-        z=traj.z,
-        tau_m=traj.tau_m,
-        cons_residual=traj.cons_residual,
-        inv_r=traj.inv_r,
-        termination=traj.termination,
-        dt_hat=traj.dt_hat,
-        params=traj.params,
-        hist_t_hat=traj.hist_t_hat,
-        hist_t=hist_t,
-        hist_n=traj.hist_n,
-        hist_p=traj.hist_p,
-        hist_z=traj.hist_z,
-        hist_inv_r=traj.hist_inv_r,
-        tau_drift_max=traj.tau_drift_max,
-    )
+    return replace(traj, t=t, hist_t=hist_t)
 
 
 def _full_series(traj: Trajectory) -> tuple[np.ndarray, ...]:

@@ -145,6 +145,19 @@ class TestSimulateCommand:
         md = json.loads((tmp_path / "metadata.json").read_text())
         assert md["rho_files"] == ["rho_t20.csv"]
 
+    def test_deterministic_and_reproducible(self, tmp_path):
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        args = ["simulate", "--preset", "fig6-stable",
+                "--set", "run.horizon_hat=40", "--set", "run.rho_times=20.0",
+                "--set", "run.rho_s_panels=32"]
+        assert run_cli(args + ["--out", str(a)]) == 0
+        assert run_cli(args + ["--out", str(b)]) == 0
+        # a run re-ingesting its own resolved config reproduces itself
+        assert run_cli(["simulate", "--config", str(a / "resolved.cfg"), "--out", str(c)]) == 0
+        for name in ("trajectory.csv", "rho_t20.csv", "metadata.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+            assert (a / name).read_bytes() == (c / name).read_bytes()
+
     def test_metadata_reports_frequency(self, tmp_path):
         assert run_cli(["simulate", "--preset", "fig6-unstable", "--out", str(tmp_path),
                         "--set", "run.horizon_hat=700"]) == 0

@@ -47,6 +47,24 @@ class TestHopfResidual:
             continuation.hopf_residual(u, params)
 
 
+class TestNewtonCorrector:
+    @pytest.mark.parametrize("axis, value", [
+        (3, -1000.0),  # scaled m: exp(-delta0*m/R) overflows in the residual
+        (4, 400.0),  # log10 n_total: 10**400 overflows while unpacking
+    ])
+    def test_iterate_out_of_float_range_fails_the_step(self, loop_family, axis, value):
+        params, start = loop_family
+        m_scale = continuation._m_scale(params)
+        x0 = continuation._pack(start.as_array(), m_scale)
+        x0[axis] = value
+        tangent = np.zeros(6)
+        tangent[axis] = 1.0
+        got = continuation._newton_corrector(
+            x0, x0, tangent, params, m_scale, TraceOptions()
+        )
+        assert got is None
+
+
 class TestFindStart:
     def test_no_delay_point_matches_eigen_oracle(self):
         # oracle: bisect the biomass on the sign of the largest eigenvalue

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,59 @@ class TestDdeRhs:
         bad = StateNPZ(0.5, 0.0, 0.1)
         with pytest.raises(DomainError):
             model.dde_rhs(bad, bad, 1.0, p)
+
+
+def _rhs_reference(cur, dl, tau, p):
+    """The fixed-delay right-hand side spelled out with the public responses."""
+    pref = p.r_star / model.r_growth(cur.p, p)
+    growth = p.mu * cur.p * model.f_uptake(cur.n, p)
+    graze = p.g * cur.z * model.h_grazing(cur.p, p)
+    recycle = (
+        p.lam * cur.p + p.delta * cur.z + (1.0 - p.gamma) * graze
+        + p.delta0 * (p.n_total - cur.n - cur.p - cur.z)
+    )
+    birth = (
+        p.gamma * p.g * math.exp(-p.delta0 * tau) * (p.r_star / model.r_growth(dl.p, p))
+        * dl.z * model.h_grazing(dl.p, p)
+    )
+    return (pref * (-growth + recycle), pref * (growth - p.lam * cur.p - graze),
+            birth - pref * p.delta * cur.z)
+
+
+_pool = st.floats(min_value=1e-6, max_value=10.0)
+
+
+class TestRhsKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(state=st.tuples(_pool, _pool, _pool, _pool, _pool),
+           tau=st.floats(min_value=0.0, max_value=50.0),
+           delta0=st.sampled_from([0.0, 0.17]),
+           l=st.sampled_from([None, 0.159]))
+    def test_kernel_matches_dde_rhs_bit_for_bit(self, state, tau, delta0, l):
+        n, p_cur, z, p_del, z_del = state
+        p = ModelParams(delta0=delta0, l=l, m=5.0, n_total=3.0, r_star=0.7)
+        cur, dl = StateNPZ(n, p_cur, z), StateNPZ(0.5, p_del, z_del)
+        kernel = model._rhs(n, p_cur, z, p_del, z_del, tau, p)
+        public = model.dde_rhs(cur, dl, tau, p)
+        assert kernel == tuple(public)
+        assert kernel == _rhs_reference(cur, dl, tau, p)
+
+    def test_kernel_keeps_the_singular_rate_guard(self, table1):
+        p = equilibria.resolve_r_star(table1(m=5.0, n_total=1.0))
+        with pytest.raises(SingularRateError):
+            model._rhs(0.5, 0.2, 0.1, 1e-16, 0.1, 1.0, p)
+
+    def test_dde_rhs_keeps_its_errors(self, table1):
+        p = equilibria.resolve_r_star(table1(m=5.0, n_total=1.0))
+        good = StateNPZ(0.5, 0.2, 0.1)
+        with pytest.raises(DomainError):
+            model.dde_rhs(good, StateNPZ(0.5, -0.1, 0.1), 1.0, p)
+        with pytest.raises(DomainError):
+            model.dde_rhs(StateNPZ(-0.5, 0.2, 0.1), good, 1.0, p)
+        with pytest.raises(SingularRateError):
+            model.dde_rhs(good, StateNPZ(0.5, 1e-16, 0.1), 1.0, p)
+        with pytest.raises(ParamError):
+            model.dde_rhs(good, good, 1.0, table1(m=5.0, n_total=1.0))
 
 
 class TestConservationValue:

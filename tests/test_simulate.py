@@ -204,6 +204,61 @@ class TestIntegrate:
         assert 3.2 <= worst[0] / worst[1] <= 4.8
 
 
+def _fig6_run():
+    p = fig6_params()
+    spec = HistorySpec.at_equilibrium(1e-3, 1e-3)
+    return spec, p, p.m / p.r_star / 200, 100.0
+
+
+def _offset_run_without_mortality():
+    p = equilibria.resolve_r_star(
+        ModelParams(delta0=0.0, l=0.159, m=6.0, n_total=10 ** 0.49)
+    )
+    spec = HistorySpec.at_equilibrium(1e-2, -1e-2, n0_offset=0.05)
+    return spec, p, p.m / p.r_star / 100, 100.0
+
+
+def _run_without_delay():
+    p = equilibria.resolve_r_star(
+        ModelParams(delta0=0.17, l=0.159, m=0.0, n_total=0.8)
+    )
+    return HistorySpec.at_equilibrium(1e-2, 0), p, 0.01, 50.0
+
+
+def _extinction_run():
+    nt = equilibria.compute_nt1(ModelParams()) / 2
+    p = equilibria.resolve_r_star(ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=nt))
+    spec = HistorySpec.constant(0.3 * nt, 0.1 * nt)
+    return spec, p, p.m / p.r_star / 2000, 120.0
+
+
+class TestConservationColumn:
+    """The post-loop residual pass against the one-window public functional."""
+
+    @pytest.mark.parametrize("make", [
+        _fig6_run, _offset_run_without_mortality, _run_without_delay, _extinction_run,
+    ])
+    def test_matches_per_row_conservation_value(self, make):
+        spec, p, dt_hat, horizon = make()
+        buf = simulate.build_initial(spec, p, dt_hat)
+        row0 = buf.now_index
+        traj = simulate.integrate(buf, p, horizon)
+        off_grid = traj.termination is Termination.EXTINCTION and not math.isclose(
+            traj.t_hat[-1] - traj.t_hat[-2], dt_hat, rel_tol=1e-6
+        )
+        on_grid = len(traj) - 1 if off_grid else len(traj)
+        slow = np.array([
+            model.conservation_value(*buf.window(row0 + k), p) - p.n_total
+            for k in range(on_grid)
+        ])
+        assert np.max(np.abs(traj.cons_residual[:on_grid] - slow)) <= 1e-12 * p.n_total
+        if make is _extinction_run:
+            assert off_grid
+        if off_grid:
+            # the crossing row repeats the last on-grid value
+            assert traj.cons_residual[-1] == traj.cons_residual[-2]
+
+
 class TestPhysicalTime:
     def test_identity_for_constant_response(self):
         p = equilibria.resolve_r_star(
