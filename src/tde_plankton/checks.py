@@ -204,11 +204,7 @@ def _lin_for_checks(params: ModelParams, hooks: CheckHooks):
     e1 = equilibria.solve_e1(p_e1)
     lin = linearize.build_linearization(e1, p_e1)
     if hooks.corrupt_a2_sign:
-        lin = linearize.LinearizationData(
-            a1=lin.a1, a2=-lin.a2, a3=lin.a3, t_delay=lin.t_delay,
-            coeff_a=lin.coeff_a, coeff_b=lin.coeff_b, coeff_c=lin.coeff_c,
-            coeff_d=lin.coeff_d, delta0=lin.delta0, rate_scale=lin.rate_scale,
-        )
+        lin = replace(lin, a2=-lin.a2)
     return p_e1, e1, lin
 
 
@@ -280,12 +276,7 @@ def check_periodicity_in_m(params: ModelParams) -> CheckResult:
     worst = 0.0
     for _ in range(50):
         omega = float(10 ** rng.uniform(-1, 1))
-        shifted = linearize.LinearizationData(
-            a1=lin.a1, a2=lin.a2, a3=lin.a3,
-            t_delay=lin.t_delay + 2 * math.pi / omega,
-            coeff_a=lin.coeff_a, coeff_b=lin.coeff_b, coeff_c=lin.coeff_c,
-            coeff_d=lin.coeff_d, delta0=lin.delta0, rate_scale=lin.rate_scale,
-        )
+        shifted = replace(lin, t_delay=lin.t_delay + 2 * math.pi / omega)
         a = linearize.char_fn(1j * omega, lin)
         b = linearize.char_fn(1j * omega, shifted)
         scale = max(linearize.char_scale(1j * omega, lin), 1e-300)

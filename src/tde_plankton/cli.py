@@ -7,7 +7,8 @@ scientific notation; identical configurations produce byte-identical files.
 
 Exit codes: 0 success (including a clean extinction), 1 runtime failure,
 2 invalid configuration, 3 check-suite failure.  ``TDE_PLANKTON_THREADS``
-caps the worker pool used for independent batch items.
+caps the worker pool that seeds boundary curves; sweeps and traces run in
+order on the calling thread.
 """
 
 from __future__ import annotations
@@ -86,9 +87,7 @@ def cmd_equilibria(cfg: RunConfig, out_dir: Path) -> int:
         params_m = replace(cfg.params, m=m)
         return m, equilibria.classify_and_sweep(params_m, grid)
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(one, sweep.m_list))
-
+    results = list(map(one, sweep.m_list))
     manifest = []
     for m, rows in results:
         name = f"sweep_m{m:g}_d0{cfg.params.delta0:g}.csv"
@@ -179,8 +178,7 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
         pts = list(reversed(bwd.points))[:-1] + fwd.points
         return BoundaryCurve(points=pts, termination=fwd.termination), bwd.termination
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        traced = list(pool.map(trace_one, unique_starts))
+    traced = list(map(trace_one, unique_starts))
 
     merged = [c for c, _ in traced]
     back_terms = {id(c): b for (c, b) in traced}

@@ -16,14 +16,6 @@ from .exceptions import ConfigError, ParamError
 from .model import ModelParams
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
 def _parse_float_list(s: str) -> tuple[float, ...]:
     s = s.strip()
     if not s:

@@ -408,11 +408,21 @@ def emit_frequency_profile(curve: BoundaryCurve) -> list[tuple[float, float, flo
     return [(p.m, p.n_total, p.omega) for p in curve.points]
 
 
-def _point_segment_dist(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0 else float(np.clip((q - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(q - (a + t * ab)))
+def _share_near_polyline(q: np.ndarray, line: np.ndarray, tol: float) -> float:
+    """Fraction of the points ``q`` within ``tol`` of the polyline through ``line``."""
+    if len(line) < 2:
+        line = np.vstack([line, line])
+    a, ab = line[:-1], np.diff(line, axis=0)
+    denom = np.einsum("ij,ij->i", ab, ab)
+    denom = np.where(denom == 0, np.inf, denom)  # a zero-length segment is its start point
+    near = np.empty(len(q), dtype=bool)
+    block = max(1, 1024 // len(a))  # bounds the (points, segments, 3) temporaries
+    for i in range(0, len(q), block):
+        rel = q[i:i + block, None, :] - a  # (points, segments, 3)
+        t = np.clip(np.einsum("pkj,kj->pk", rel, ab) / denom, 0.0, 1.0)
+        dist = np.linalg.norm(rel - t[..., None] * ab, axis=2)
+        near[i:i + block] = dist.min(axis=1) <= tol
+    return float(np.mean(near))
 
 
 def _profile_coords(curve: BoundaryCurve, m_scale: float) -> np.ndarray:
@@ -428,18 +438,18 @@ def curves_interleave(
     tol: float = 5e-3,
     fraction: float = 0.9,
 ) -> bool:
-    """True when most points of the shorter curve hug the other's polyline."""
+    """True when most points of either curve hug the other's polyline.
+
+    Both directions are tried: where one sampling takes long chords around a
+    bend, the other's points on the bend miss those chords, while its own
+    polyline still carries every point of the first.
+    """
     m_scale = _m_scale(params)
     pa, pb = _profile_coords(a, m_scale), _profile_coords(b, m_scale)
-    short, long_ = (pa, pb) if len(pa) <= len(pb) else (pb, pa)
-    if len(long_) < 2:
-        dists = [float(np.min(np.linalg.norm(long_ - q, axis=1))) for q in short]
-    else:
-        dists = [
-            min(_point_segment_dist(q, long_[i], long_[i + 1]) for i in range(len(long_) - 1))
-            for q in short
-        ]
-    return float(np.mean(np.asarray(dists) <= tol)) >= fraction
+    return (
+        _share_near_polyline(pa, pb, tol) >= fraction
+        or _share_near_polyline(pb, pa, tol) >= fraction
+    )
 
 
 def deduplicate_curves(
@@ -450,7 +460,8 @@ def deduplicate_curves(
     """Drop curves that re-trace an already collected locus.
 
     Deterministic: curves are considered in order of their starting point
-    and the longest representative of each group is kept.
+    and the longest representative of each group is kept (the earliest on a
+    tie); a curve that interleaves with several kept curves merges them.
     """
     order = sorted(
         range(len(curves)),
@@ -463,13 +474,15 @@ def deduplicate_curves(
     kept: list[BoundaryCurve] = []
     for idx in order:
         cand = curves[idx]
-        matched = None
-        for j, existing in enumerate(kept):
-            if curves_interleave(cand, existing, params, tol=tol):
-                matched = j
-                break
-        if matched is None:
+        matched = [
+            j for j, existing in enumerate(kept)
+            if curves_interleave(cand, existing, params, tol=tol)
+        ]
+        if not matched:
             kept.append(cand)
-        elif len(cand.points) > len(kept[matched].points):
-            kept[matched] = cand
+            continue
+        group = [kept[j] for j in matched] + [cand]
+        kept[matched[0]] = max(group, key=len)
+        for j in reversed(matched[1:]):
+            del kept[j]
     return kept

@@ -7,21 +7,26 @@ delay window:
     dy/dt = A1 y(t) + A2 y(t-T) + A3 * int_{-T}^{0} y(t+u) du.
 
 Substituting y = v*exp(s*t) turns the window integral into the kernel
-(1 - exp(-s*T))/s, so stability is read off the roots of
+K(s) = (1 - exp(-s*T))/s, so stability is read off the roots of
 
-    det(s*I - A1 - A2*exp(-s*T) - A3*(1 - exp(-s*T))/s) = 0,
+    det(s*I - A1 - A2*exp(-s*T) - A3*K(s)) = 0,
 
 an entire function of s once the removable singularity at s = 0 is handled.
-Root location is grid-seeded damped-free Newton iteration; the verdict
-helper returns the largest real part found, which backs every stability
-claim made elsewhere in the package.
+A2 and A3 act on the zooplankton row only, so it is Q(s) + exp(-s*T) R(s)
++ K(s) S(s) with polynomials fixed once per linearization, evaluated as that
+row's entries times their cofactor polynomials (so its rounding error stays
+in step with the row norms of the Hadamard yardstick) and with an exact
+derivative.  Root location is grid-seeded damped-free Newton iteration on
+that derivative; the verdict helper returns the largest real part found,
+which backs every stability claim made elsewhere in the package.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,6 +45,29 @@ SERIES_SWITCH = 1e-4
 ZERO_MODE_TOL = 1e-6
 
 
+class CharForm(NamedTuple):
+    """det(s*I - A1 - exp(-s*T) A2 - K(s) A3) expanded along the zooplankton
+    row, the only row A2 and A3 touch: the other rows' entries, that row's
+    entries, and (p0, v0, p1, v1, u2, v2) of its cofactor polynomials
+    C0 = p0 s + v0, C1 = p1 s + v1 and C2 = s^2 + u2 s + v2."""
+
+    top: tuple[float, ...]  # a00, a01, a02, a10, a11, a12
+    bottom: tuple[float, ...]  # a20, a21, a22, then row 2 of a2 and of a3
+    cofactors: tuple[float, ...]
+
+
+def _char_form(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> CharForm:
+    if np.any(a2[:2] != 0) or np.any(a3[:2] != 0):
+        raise DomainError("delayed and distributed terms must act on the zooplankton row only")
+    (a00, a01, a02), (a10, a11, a12), bottom = a1.tolist()
+    return CharForm(
+        top=(a00, a01, a02, a10, a11, a12),
+        bottom=(*bottom, *a2[2].tolist(), *a3[2].tolist()),
+        cofactors=(a02, a01 * a12 - a02 * a11, a12, a02 * a10 - a12 * a00,
+                   -(a00 + a11), a00 * a11 - a01 * a10),
+    )
+
+
 @dataclass(frozen=True)
 class LinearizationData:
     """Matrices and scalars of the linearized system at an equilibrium.
@@ -47,7 +75,8 @@ class LinearizationData:
     ``a1`` acts on the instantaneous state, ``a2`` on the state one delay
     ``t_delay`` ago, and ``a3`` on the history integral over the delay
     window.  The reference growth rate is pinned to R(p_star) here so the
-    threshold-delay and fixed-delay linearizations coincide.
+    threshold-delay and fixed-delay linearizations coincide.  The closed
+    form of the characteristic function is derived on construction.
     """
 
     a1: np.ndarray
@@ -60,6 +89,10 @@ class LinearizationData:
     coeff_d: float  # h(p_star)
     delta0: float
     rate_scale: float
+    char_form: CharForm = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "char_form", _char_form(self.a1, self.a2, self.a3))
 
 
 def linearization_at(
@@ -120,60 +153,107 @@ def build_linearization(eq: EquilibriumPoint, params: ModelParams) -> Linearizat
     return linearization_at(eq.n_star, eq.p_star, eq.z_star, params.m, params)
 
 
-def _kernel(s: np.ndarray, big_t: float) -> np.ndarray:
-    """(1 - exp(-s*T))/s with a three-term series across the removable zero."""
-    small = np.abs(s) * big_t < SERIES_SWITCH
-    series = big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (1.0 - np.exp(-s * big_t)) / s
-    return np.where(small, series, direct)
+def _delay_terms_scalar(s: complex, big_t: float) -> tuple[complex, complex]:
+    """exp(-s*T) and the kernel K(s) = (1 - exp(-s*T))/s at one point; raises
+    OverflowError or ValueError where cmath leaves the float range."""
+    e = cmath.exp(-s * big_t)
+    if abs(s) * big_t < SERIES_SWITCH:
+        return e, big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0
+    return e, (1.0 - e) / s
 
 
-def _matrix_entries(s: np.ndarray, lin: LinearizationData) -> list[list[np.ndarray]]:
-    # far-field seeds overflow exp(); the resulting non-finite entries are
-    # masked out by the callers, so silence the hardware flags here
+def _delay_terms(s: np.ndarray, big_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(-s*T), K(s) and K'(s) at an array of points, the kernel switching to
+    its power series across the removable zero.  Far-field seeds overflow
+    exp(); callers mask the non-finite values, so the flags are silenced."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        small = np.abs(s) * big_t < SERIES_SWITCH
+        e = np.exp(-s * big_t)
+        kern = np.where(small, big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0,
+                        (1.0 - e) / s)
+        dkern = np.where(small, -big_t**2 / 2.0 + s * big_t**3 / 3.0,
+                         (big_t * e - kern) / s)
+    return e, kern, dkern
+
+
+def _bottom_row(s, e, kern, form: CharForm) -> tuple:
+    a20, a21, a22, b20, b21, b22, c20, c21, c22 = form.bottom
+    return (-a20 - b20 * e - c20 * kern,
+            -a21 - b21 * e - c21 * kern,
+            -a22 - b22 * e - c22 * kern + s)
+
+
+def _cofactors(s, form: CharForm) -> tuple:
+    p0, v0, p1, v1, u2, v2 = form.cofactors
+    return p0 * s + v0, p1 * s + v1, (s + u2) * s + v2
+
+
+def _expand(s, e, kern, form: CharForm):
+    x0, x1, x2 = _bottom_row(s, e, kern, form)
+    c0, c1, c2 = _cofactors(s, form)
+    return x0 * c0 + x1 * c1 + x2 * c2
+
+
+def _sq_abs(z):
+    h = abs(z)
+    return h * h  # not h**2, which raises OverflowError on Python floats
+
+
+def _hadamard(s, row, form: CharForm):
+    """Product of the three row norms, given the zooplankton row."""
+    sqrt = np.sqrt if isinstance(s, np.ndarray) else math.sqrt
+    a00, a01, a02, a10, a11, a12 = form.top
+    return (sqrt(_sq_abs(s - a00) + a01 * a01 + a02 * a02)
+            * sqrt(a10 * a10 + _sq_abs(s - a11) + a12 * a12)
+            * sqrt(_sq_abs(row[0]) + _sq_abs(row[1]) + _sq_abs(row[2])))
+
+
+def _evaluate(s, lin: LinearizationData, fn, nan):
+    """fn(s, exp(-s*T), K(s), form) in plain complex arithmetic at a scalar
+    (``nan`` where cmath leaves the float range), in numpy at an array."""
+    if isinstance(s, (complex, float, int)) or np.ndim(s) == 0:
+        s = complex(s)
+        try:
+            return fn(s, *_delay_terms_scalar(s, lin.t_delay), lin.char_form)
+        except (OverflowError, ValueError):
+            return nan
+    s = np.asarray(s, dtype=complex)
+    e, kern, _ = _delay_terms(s, lin.t_delay)
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(-s * lin.t_delay)
-        kern = _kernel(s, lin.t_delay)
-    rows = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(3):
-            row = []
-            for j in range(3):
-                # all three actions of the linearization enter subtracted
-                entry = -lin.a1[i, j] - lin.a2[i, j] * e - lin.a3[i, j] * kern
-                if i == j:
-                    entry = entry + s
-                row.append(entry)
-            rows.append(row)
-    return rows
+        return fn(s, e, kern, lin.char_form)
 
 
 def char_fn(s, lin: LinearizationData):
-    """Characteristic function: 3x3 complex determinant by cofactor expansion.
+    """Characteristic function at a complex scalar or an ndarray of seeds.
 
-    Accepts a complex scalar or ndarray of seeds and broadcasts.
+    Far-field points, where exp(-s*T) overflows, give non-finite values.
     """
-    s_arr = np.asarray(s, dtype=complex)
-    m = _matrix_entries(s_arr, lin)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    return complex(det) if np.ndim(s) == 0 else det
+    return _evaluate(s, lin, _expand, complex(math.nan, math.nan))
+
+
+def _scale(s, e, kern, form: CharForm):
+    return _hadamard(s, _bottom_row(s, e, kern, form), form)
 
 
 def char_scale(s, lin: LinearizationData):
     """Hadamard bound on |char_fn|: product of row norms. Relative-error yardstick."""
-    s_arr = np.asarray(s, dtype=complex)
-    m = _matrix_entries(s_arr, lin)
-    scale = np.ones(s_arr.shape, dtype=float)
+    return _evaluate(s, lin, _scale, math.nan)
+
+
+def _char_newton(s: np.ndarray, lin: LinearizationData):
+    """char_fn, its exact derivative and char_scale at an array of points, in one pass."""
+    form = lin.char_form
+    _, _, _, b20, b21, b22, c20, c21, c22 = form.bottom
+    p0, _, p1, _, u2, _ = form.cofactors
+    e, kern, dkern = _delay_terms(s, lin.t_delay)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(3):
-            scale = scale * np.sqrt(sum(np.abs(m[i][j]) ** 2 for j in range(3)))
-    return float(scale) if np.ndim(s) == 0 else scale
+        x0, x1, x2 = row = _bottom_row(s, e, kern, form)
+        c0, c1, c2 = _cofactors(s, form)
+        de = -lin.t_delay * e
+        df = ((-b20 * de - c20 * dkern) * c0 + x0 * p0
+              + (-b21 * de - c21 * dkern) * c1 + x1 * p1
+              + (1.0 - b22 * de - c22 * dkern) * c2 + x2 * (2.0 * s + u2))
+        return x0 * c0 + x1 * c1 + x2 * c2, df, _hadamard(s, row, form)
 
 
 def _newton_batch(
@@ -185,26 +265,19 @@ def _newton_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped-free Newton on char_fn from every seed at once.
 
-    The derivative is a centered difference with step 1e-7*max(1, |s|); the
-    function is entire and cheap, which keeps this both simple and accurate.
-    Returns (iterates, converged mask).
+    One fused pass per iteration gives char_fn, its exact derivative and the
+    scale.  Returns (iterates, converged mask).
     """
     s = np.asarray(seeds, dtype=complex).copy()
     alive = np.isfinite(s)
     for _ in range(max_iter):
-        f = char_fn(s, lin)
-        scale = char_scale(s, lin)
-        done = np.abs(f) <= tol * np.maximum(scale, 1e-300)
-        active = alive & ~done & np.isfinite(f)
-        if not np.any(active):
-            break
-        h = 1e-7 * np.maximum(1.0, np.abs(s))
-        with np.errstate(over="ignore", invalid="ignore"):
-            df = (char_fn(s + h, lin) - char_fn(s - h, lin)) / (2.0 * h)
+        f, df, scale = _char_newton(s, lin)
+        active = alive & ~(np.abs(f) <= tol * np.maximum(scale, 1e-300)) & np.isfinite(f)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = np.where(active & (df != 0), f / df, 0.0)
         step = np.where(np.isfinite(step), step, 0.0)
-        alive = alive & np.isfinite(step)
+        if not np.any(step):
+            break
         s = s - step
     f = char_fn(s, lin)
     ok = (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tde_plankton import continuation, equilibria, linearize
-from tde_plankton.continuation import BoundaryPoint, CurveEnd, TraceOptions
+from tde_plankton.continuation import BoundaryCurve, BoundaryPoint, CurveEnd, TraceOptions
 from tde_plankton.exceptions import DomainError, NoSignChangeError
 from tde_plankton.model import ModelParams
 
@@ -303,6 +303,82 @@ class TestDeduplication:
         kept = continuation.deduplicate_curves([c1, c2], params)
         assert len(kept) == 1
         assert len(kept[0].points) == max(len(c1.points), len(c2.points))
+
+    @staticmethod
+    def _bent_arc(params, straight_n, bend_n, shift=0.0):
+        """Two straight legs joined by a half-turn of radius 0.2, in the scaled
+        (m, log10 n_total) profile plane, at fixed omega."""
+        m_scale = continuation._m_scale(params)
+        leg = np.linspace(0.1, 0.5, straight_n)
+        turn = np.linspace(-math.pi / 2, math.pi / 2, bend_n)
+        xy = np.concatenate([
+            np.column_stack([leg, np.zeros_like(leg)]),
+            np.column_stack([0.5 + 0.2 * np.cos(turn), 0.2 + 0.2 * np.sin(turn)])[1:-1],
+            np.column_stack([leg[::-1], np.full_like(leg, 0.4)]),
+        ])
+        return BoundaryCurve(
+            points=[
+                BoundaryPoint(n_star=1.0, p_star=1.0, z_star=1.0, m=x * m_scale,
+                              n_total=10.0 ** (y + shift), omega=0.5)
+                for x, y in xy
+            ],
+            termination=CurveEnd.DOMAIN_BOUND,
+        )
+
+    def test_one_bent_arc_sampled_twice_matches_in_both_orders(self):
+        params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
+        # long chords around the bend (sagitta 0.015 > tol), many points on the legs
+        chords = self._bent_arc(params, straight_n=50, bend_n=5)
+        # fewer points in all, but dense on the bend
+        dense = self._bent_arc(params, straight_n=15, bend_n=62)
+        assert len(dense) < len(chords)
+        assert continuation.curves_interleave(chords, dense, params)
+        assert continuation.curves_interleave(dense, chords, params)
+        kept = continuation.deduplicate_curves([dense, chords], params)
+        assert kept == [chords]
+
+    def test_two_distinct_bent_arcs_do_not_match(self):
+        params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
+        a = self._bent_arc(params, straight_n=50, bend_n=5)
+        b = self._bent_arc(params, straight_n=15, bend_n=62, shift=0.05)
+        assert not continuation.curves_interleave(a, b, params)
+        assert not continuation.curves_interleave(b, a, params)
+        assert len(continuation.deduplicate_curves([a, b], params)) == 2
+
+    def test_candidate_joining_two_kept_curves_merges_them(self):
+        params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
+        arc = self._bent_arc(params, straight_n=50, bend_n=62).points
+        # the two legs do not interleave; the whole arc, considered after
+        # both (it starts where the upper leg does), carries both
+        lower = BoundaryCurve(arc[:45], CurveEnd.DOMAIN_BOUND)
+        upper = BoundaryCurve(arc[:-46:-1], CurveEnd.DOMAIN_BOUND)
+        whole = BoundaryCurve(arc[::-1], CurveEnd.DOMAIN_BOUND)
+        assert not continuation.curves_interleave(lower, upper, params)
+        kept = continuation.deduplicate_curves([lower, upper, whole], params)
+        assert kept == [whole]
+
+    def test_polyline_share_matches_a_point_by_point_loop(self):
+        def segment_dist(q, a, b):
+            ab = b - a
+            denom = float(ab @ ab)
+            t = 0.0 if denom == 0 else float(np.clip((q - a) @ ab / denom, 0.0, 1.0))
+            return float(np.linalg.norm(q - (a + t * ab)))
+
+        rng = np.random.default_rng(17)
+        for n_line in (1, 2, 40):
+            line = np.cumsum(rng.normal(scale=0.05, size=(n_line, 3)), axis=0)
+            if n_line > 2:
+                line[n_line // 2] = line[n_line // 2 - 1]  # a zero-length segment
+            # 300 x 39 point-segment pairs span several blocks
+            q = line[rng.integers(n_line, size=300)] + rng.normal(scale=0.01, size=(300, 3))
+            if n_line < 2:
+                dists = [float(np.min(np.linalg.norm(line - p, axis=1))) for p in q]
+            else:
+                dists = [min(segment_dist(p, line[i], line[i + 1]) for i in range(n_line - 1))
+                         for p in q]
+            for tol in (2e-3, 5e-3, 1e-2):
+                expect = float(np.mean(np.asarray(dists) <= tol))
+                assert continuation._share_near_polyline(q, line, tol) == expect
 
     def test_distinct_curves_kept(self, successive_crossings):
         params, p1, p2 = successive_crossings

@@ -1,9 +1,13 @@
+import cmath
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from tde_plankton import equilibria, linearize, model
 from tde_plankton.exceptions import BracketError, DomainError, NoConvergeError
@@ -121,6 +125,248 @@ class TestCharFn:
             a = linearize.char_fn(1j * omega, lin)
             b = linearize.char_fn(1j * omega, shifted)
             assert abs(a - b) <= 1e-11 * linearize.char_scale(1j * omega, lin)
+
+
+def reference_matrix(s: complex, lin: LinearizationData) -> np.ndarray:
+    """s*I - A1 - exp(-s*T) A2 - K(s) A3, assembled from the three matrices."""
+    big_t = lin.t_delay
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(np.complex128(-s * big_t))
+        if abs(s) * big_t < 0.1:
+            # K = T * sum_n (-s*T)^n / (n+1)!
+            kern = big_t * sum((-s * big_t) ** n / math.factorial(n + 1) for n in range(16))
+        else:
+            kern = (1.0 - e) / s
+        return s * np.eye(3) - lin.a1 - e * lin.a2 - kern * lin.a3
+
+
+@st.composite
+def lin_and_point(draw):
+    """A coexistence linearization and a point s of one of five kinds."""
+    delta0 = draw(st.sampled_from([0.0, 0.17]))
+    l = draw(st.sampled_from([None, 0.159]))
+    m = draw(st.one_of(st.just(0.0), st.floats(0.5, 6.0), st.floats(12.0, 19.0)))
+    probe = ModelParams(delta0=delta0, l=l, m=m, n_total=1.0)
+    nt = equilibria.compute_nt2(probe) * 10 ** draw(st.floats(0.05, 1.2))
+    params = ModelParams(delta0=delta0, l=l, m=m, n_total=nt)
+    lin = linearize.build_linearization(equilibria.solve_e2(params), params)
+    kind = draw(st.sampled_from(["zero", "switch_circle", "near", "far", "far_real"]))
+    if kind == "zero" or (kind == "switch_circle" and lin.t_delay == 0.0):
+        s = 0j
+    elif kind == "switch_circle":
+        s = linearize.SERIES_SWITCH / lin.t_delay * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+    elif kind == "near":
+        s = complex(draw(st.floats(-2, 2)), draw(st.floats(-20, 20)))
+    elif kind == "far":
+        s = cmath.rect(draw(st.floats(50, 2000)), draw(st.floats(-math.pi / 2, math.pi / 2)))
+    else:
+        # the far end of the scan's real-axis seed line
+        s = complex(-linearize.default_omega_max(lin))
+    return lin, s
+
+
+class TestClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(case=lin_and_point())
+    def test_matches_dense_determinant_and_row_norms(self, case):
+        lin, s = case
+        ref = reference_matrix(s, lin)
+        val, scale = linearize.char_fn(s, lin), linearize.char_scale(s, lin)
+        if not np.all(np.isfinite(ref)):
+            assert not cmath.isfinite(val)
+            return
+        with np.errstate(over="ignore"):
+            rows = np.linalg.norm(ref, axis=1)
+        assert abs(val - np.linalg.det(ref)) <= 1e-12 * float(np.prod(rows))
+        if math.isfinite(scale):
+            assert scale == pytest.approx(float(np.prod(rows)), rel=1e-12)
+        else:
+            # the bound squares the entries, so it overflows once their
+            # product leaves the float range
+            assert scale == math.inf and float(np.prod(rows**2)) > 1e307
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=lin_and_point())
+    def test_scalar_and_array_calls_agree(self, case):
+        lin, s = case
+        arr = np.array([s, s + 0.5j])
+        val, scale = linearize.char_fn(s, lin), linearize.char_scale(s, lin)
+        if not cmath.isfinite(val):
+            assert not np.isfinite(linearize.char_fn(arr, lin)[0])
+            return
+        # exact but for rounding; on the switch circle the two paths may
+        # also pick different kernel branches
+        assert abs(linearize.char_fn(arr, lin)[0] - val) <= 1e-12 * scale
+        assert linearize.char_scale(arr, lin)[0] == pytest.approx(scale, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=lin_and_point())
+    def test_fused_pass_and_exact_derivative(self, case):
+        lin, s = case
+        arr = np.array([s])
+        f, df, scale = linearize._char_newton(arr, lin)
+        if not np.isfinite(f[0]):
+            return
+        # the Newton pass evaluates char_fn and char_scale exactly as they do
+        assert f[0] == linearize.char_fn(arr, lin)[0]
+        assert scale[0] == linearize.char_scale(arr, lin)[0]
+        # fourth-order centred difference, its step resolving exp(-s*T)
+        h = 1e-3 / (lin.t_delay + 1.0 / max(1.0, abs(s)))
+        f_at = [linearize.char_fn(s + k * h, lin) for k in (-2, -1, 1, 2)]
+        centred = (8.0 * (f_at[2] - f_at[1]) - (f_at[3] - f_at[0])) / (12.0 * h)
+        if not cmath.isfinite(centred):
+            return  # a neighbour overflowed
+        yard = abs(df[0]) + scale[0] / max(1.0, abs(s))
+        assert abs(df[0] - centred) <= 1e-6 * yard
+
+    def test_kernel_derivative_on_both_sides_of_the_switch(self, table1):
+        _, _, lin = e2_lin(table1)
+        big_t = lin.t_delay
+        # the series truncation is (sT)^2/4 relative inside the circle; the
+        # direct form loses about 1e-16/(sT)^2 to cancellation outside it
+        for radius, tol in ((0.5, 1e-8), (0.99, 1e-8), (1.01, 1e-7), (2.0, 1e-7)):
+            s = radius * linearize.SERIES_SWITCH / big_t * np.exp(1j * np.linspace(0, 6.2, 16))
+            _, _, dkern = linearize._delay_terms(s, big_t)
+            ref = -big_t**2 * sum(
+                n * (-s * big_t) ** (n - 1) / math.factorial(n + 1) for n in range(1, 12)
+            )
+            assert np.max(np.abs(dkern - ref) / np.abs(ref)) <= tol
+
+    @pytest.mark.parametrize("s", [
+        complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, 0.0),
+        complex(math.inf, math.inf), complex(math.nan, 1.0), complex(1.0, math.inf),
+    ])
+    @pytest.mark.parametrize("m", [0.0, 6.0])
+    def test_nonfinite_seed_gives_nonfinite_value(self, table1, s, m):
+        _, _, lin = e2_lin(table1, m=m)
+        assert not cmath.isfinite(linearize.char_fn(s, lin))
+        assert not math.isfinite(linearize.char_scale(s, lin))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(linearize.char_fn(np.array([s]), lin)).any()
+            assert not np.isfinite(linearize.char_scale(np.array([s]), lin)).any()
+
+    def test_far_field_overflow_gives_nonfinite_value(self, table1):
+        _, _, lin = e2_lin(table1)
+        s = complex(-1e5, 0.3)
+        assert not cmath.isfinite(linearize.char_fn(s, lin))
+        assert not math.isfinite(linearize.char_scale(s, lin))
+        assert not np.isfinite(linearize.char_fn(np.array([s]), lin)).any()
+
+    def test_delayed_terms_off_the_zooplankton_row_rejected(self, table1):
+        _, _, lin = e2_lin(table1)
+        for name in ("a2", "a3"):
+            bad = getattr(lin, name).copy()
+            bad[1, 2] = 1e-3
+            with pytest.raises(DomainError):
+                dataclasses.replace(lin, **{name: bad})
+
+
+#: rightmost_real_part from the cofactor-expansion kernel with its
+#: finite-difference Newton, the path the closed form replaced: criterion 4's
+#: 24 E1 points (nt = nt1 + frac*(nt2 - nt1), grid_n=128) and 20 E2 points
+#: (nt = factor*nt2, default grid).  Columns: kind, delta0, l, m, frac or
+#: factor, verdict.
+PINNED_VERDICTS = [
+    ("E1", 0.0, None, 2.0, 0.25, -0.05270762830201385),
+    ("E1", 0.0, None, 2.0, 0.5, -0.07041758553321664),
+    ("E1", 0.0, None, 2.0, 0.9, -0.18974746184249303),
+    ("E1", 0.0, None, 6.0, 0.25, -0.05270762829270127),
+    ("E1", 0.0, None, 6.0, 0.5, -0.05189870790793895),
+    ("E1", 0.0, None, 6.0, 0.9, -0.1897474618621907),
+    ("E1", 0.0, 0.159, 2.0, 0.25, -0.052707628274543464),
+    ("E1", 0.0, 0.159, 2.0, 0.5, -0.10541525656645287),
+    ("E1", 0.0, 0.159, 2.0, 0.9, -0.1897474618196089),
+    ("E1", 0.0, 0.159, 6.0, 0.25, -0.05270762828296427),
+    ("E1", 0.0, 0.159, 6.0, 0.5, -6.3173454259855495),
+    ("E1", 0.0, 0.159, 6.0, 0.9, -0.18974746181961524),
+    ("E1", 0.17, None, 2.0, 0.25, -0.07514512820729352),
+    ("E1", 0.17, None, 2.0, 0.5, -0.0698203230109455),
+    ("E1", 0.17, None, 2.0, 0.9, -0.01239233433908521),
+    ("E1", 0.17, None, 6.0, 0.25, -0.09094897478858523),
+    ("E1", 0.17, None, 6.0, 0.5, -0.17000000008209593),
+    ("E1", 0.17, None, 6.0, 0.9, -0.00795814525325897),
+    ("E1", 0.17, 0.159, 2.0, 0.25, -0.11876436524086653),
+    ("E1", 0.17, 0.159, 2.0, 0.5, -0.07418655479571752),
+    ("E1", 0.17, 0.159, 2.0, 0.9, -0.013502336956864175),
+    ("E1", 0.17, 0.159, 6.0, 0.25, -0.10509417984235829),
+    ("E1", 0.17, 0.159, 6.0, 0.5, -26.25),
+    ("E1", 0.17, 0.159, 6.0, 0.9, -0.009811194246282212),
+    ("E2", 0.0, None, 0.0, 1.5, -0.10220203715942908),
+    ("E2", 0.0, None, 2.0, 2.5, -0.07852416547845893),
+    ("E2", 0.0, None, 6.0, 4.0, -0.0429125524075079),
+    ("E2", 0.0, None, 10.0, 8.0, 0.0012113308690711727),
+    ("E2", 0.0, None, 15.0, 20.0, 0.03046107755467575),
+    ("E2", 0.0, 0.159, 0.0, 1.5, -0.10220203715942908),
+    ("E2", 0.0, 0.159, 2.0, 2.5, -0.08753790851575986),
+    ("E2", 0.0, 0.159, 6.0, 4.0, -0.015038861427293881),
+    ("E2", 0.0, 0.159, 10.0, 8.0, -0.011696628050916019),
+    ("E2", 0.0, 0.159, 15.0, 20.0, -0.004322793628146538),
+    ("E2", 0.17, None, 0.0, 1.5, -0.10220203718327227),
+    ("E2", 0.17, None, 2.0, 2.5, -0.11272253783843866),
+    ("E2", 0.17, None, 6.0, 4.0, -0.16119840911795644),
+    ("E2", 0.17, None, 10.0, 8.0, -0.0875301514914999),
+    ("E2", 0.17, None, 15.0, 20.0, 0.5583708548871431),
+    ("E2", 0.17, 0.159, 0.0, 1.5, -0.10220203718327227),
+    ("E2", 0.17, 0.159, 2.0, 2.5, -0.1700000000280888),
+    ("E2", 0.17, 0.159, 6.0, 4.0, -0.1596575965658349),
+    ("E2", 0.17, 0.159, 10.0, 8.0, -0.14108650546023915),
+    ("E2", 0.17, 0.159, 15.0, 20.0, 0.8409370503750467),
+]
+
+#: Pinned points where the seed scan of either kernel misses the rightmost
+#: root, and the two kernels' iterates settle on different points.
+SCAN_DIFFERS = {
+    # both verdicts are roots left of the rightmost one; today's is nearer it
+    ("E1", 0.0, 0.159, 6.0, 0.25): "nearer",
+    # both verdicts are far-field points accepted where char_scale overflows
+    ("E1", 0.0, 0.159, 6.0, 0.5): "far_field",
+}
+
+
+def pinned_lin(kind, delta0, l, m, x):
+    base = ModelParams(delta0=delta0, l=l, m=m, n_total=1.0)
+    nt2 = equilibria.compute_nt2(base)
+    if kind == "E1":
+        nt1 = equilibria.compute_nt1(base)
+        p = ModelParams(delta0=delta0, l=l, m=m, n_total=nt1 + x * (nt2 - nt1))
+        return p, linearize.build_linearization(equilibria.solve_e1(p), p)
+    p = ModelParams(delta0=delta0, l=l, m=m, n_total=x * nt2)
+    return p, linearize.build_linearization(equilibria.solve_e2(p), p)
+
+
+def e1_rightmost(p, lin):
+    """Rightmost E1 root from the factorization: -mu p* f'(n*), -delta0 (not
+    a stability root when zero) and the principal Lambert-W root of
+    s + delta = gamma g h(p*) exp(-(delta0 + s) T)."""
+    big_t, c = lin.t_delay, p.gamma * p.g * lin.coeff_d
+    w = lambertw(c * big_t * math.exp((p.delta - p.delta0) * big_t), 0)
+    roots = [lin.a1[0, 0] + p.delta0, w.real / big_t - p.delta]
+    return max(roots + ([-p.delta0] if p.delta0 else []))
+
+
+class TestPinnedVerdicts:
+    @pytest.mark.parametrize("case", PINNED_VERDICTS, ids=lambda c: "-".join(map(str, c[:5])))
+    def test_closed_form_keeps_the_verdict(self, case):
+        key, pinned = case[:5], case[5]
+        p, lin = pinned_lin(*key)
+        grid = {"grid_n": 128} if key[0] == "E1" else {}
+        got = linearize.rightmost_real_part(lin, **grid)
+        how = SCAN_DIFFERS.get(key)
+        if how is None:
+            assert got == pytest.approx(pinned, abs=1e-9)
+        elif how == "nearer":
+            assert pinned < got < e1_rightmost(p, lin)
+        else:
+            assert got < -6.0 and got == pytest.approx(pinned, abs=1e-7)
+
+    def test_e1_oracle_matches_the_factorization(self):
+        # the oracle itself: its root zeroes the third factor
+        p, lin = pinned_lin("E1", 0.17, 0.159, 2.0, 0.9)
+        s = e1_rightmost(p, lin)
+        third = s + p.delta - p.gamma * p.g * lin.coeff_d * math.exp(-(p.delta0 + s) * lin.t_delay)
+        assert abs(third) <= 1e-12
+        assert s == pytest.approx(linearize.rightmost_real_part(lin, grid_n=128), abs=1e-9)
 
 
 class TestRoots:
