@@ -7,8 +7,9 @@ scientific notation; identical configurations produce byte-identical files.
 
 Exit codes: 0 success (including a clean extinction), 1 runtime failure,
 2 invalid configuration, 3 check-suite failure.  ``TDE_PLANKTON_THREADS``
-caps the worker pool that seeds boundary curves; sweeps and traces run in
-order on the calling thread.
+caps the worker pool that seeds boundary curves, one maturity per job whose
+windows share their root scans; sweeps and traces run in order on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ EXIT_CONFIG = 2
 EXIT_CHECKS = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def _thread_count() -> int:
     env = os.environ.get("TDE_PLANKTON_THREADS")
     if env:
@@ -62,12 +59,12 @@ def _thread_count() -> int:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Floats as ``%.16e``, the rest as ``str``; each column holds one type."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                _fmt(v) if isinstance(v, float) else str(v) for v in row
-            ) + "\n")
+        if rows:
+            fmt = ",".join("%.16e" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+            fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
@@ -138,16 +135,15 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
     else:
         windows = list(tr.omega_windows)
 
-    seed_jobs = [(m, w) for m in m_seeds for w in windows]
     failures: list[dict] = []
 
-    def seed_one(job):
-        m, window = job
+    def seed_one(m, window, lins):
         try:
             nt2 = equilibria.compute_nt2(replace(params, m=m))
             lo = max(tr.nt_min, nt2 * 1.001)
             return continuation.find_start(
-                params, m, (lo, tr.nt_max), omega_window=window, grid_n=tr.grid_n
+                params, m, (lo, tr.nt_max), omega_window=window, grid_n=tr.grid_n,
+                lins=lins,
             )
         except (NoSignChangeError, NoConvergeError, NotExistError, TdePlanktonError) as err:
             failures.append(
@@ -155,8 +151,12 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
             )
             return None
 
+    def seed_m(m):
+        lins: dict = {}  # this maturity's windows bisect the same bracket
+        return [seed_one(m, w, lins) for w in windows]
+
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        starts = [s for s in pool.map(seed_one, seed_jobs) if s is not None]
+        starts = [s for group in pool.map(seed_m, m_seeds) for s in group if s is not None]
 
     unique_starts = []
     seen = set()
@@ -254,15 +254,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     traj = simulate.to_physical_time(traj, params)
     freq = simulate.measure_frequency(traj)
 
-    rows = [
-        [float(traj.t_hat[i]), float(traj.t[i]), float(traj.n[i]), float(traj.p[i]),
-         float(traj.z[i]), float(traj.tau_m[i]), float(traj.cons_residual[i])]
-        for i in range(len(traj))
-    ]
+    columns = [traj.t_hat, traj.t, traj.n, traj.p, traj.z, traj.tau_m, traj.cons_residual]
     _write_csv(
         out_dir / "trajectory.csv",
         ["t_hat", "t", "n", "p", "z", "tau_m", "cons_residual"],
-        rows,
+        np.column_stack(columns).tolist(),
     )
 
     rho_files = []
@@ -271,7 +267,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         rho = simulate.reconstruct_rho(traj, t_req, s_grid, params)
         name = f"rho_t{t_req:g}.csv"
         _write_csv(out_dir / name, ["s", "rho"],
-                   [[float(s), float(r)] for s, r in zip(s_grid, rho)])
+                   np.column_stack([s_grid, rho]).tolist())
         rho_files.append(name)
 
     (out_dir / "metadata.json").write_text(

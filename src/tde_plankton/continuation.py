@@ -7,7 +7,9 @@ the three steady-state residuals plus the real and imaginary parts of the
 characteristic function at s = i*omega, leaving one-dimensional solution
 curves.  These are followed by pseudo-arclength continuation: a tangent
 predictor from the nullspace of the finite-difference Jacobian and a Newton
-corrector on the residuals augmented with the arclength hyperplane.
+corrector on the residuals augmented with the arclength hyperplane.  The
+residual reads the characteristic function off the float-only closed form
+(:func:`linearize.char_point`), with no matrices built.
 
 Working coordinates are scaled so arclength is meaningful across the decades
 the curves span: pools by n_total, n_total by log10, m by the maturity
@@ -93,14 +95,14 @@ class TraceOptions:
 
 
 def hopf_residual(
-    u, params: ModelParams, lin: linearize.LinearizationData | None = None
+    u, params: ModelParams, lin: linearize.LinearizationData | linearize.CharPoint | None = None
 ) -> np.ndarray:
     """Raw five-component residual at u = (n, p, z, m, n_total, omega).
 
     Components 1-3 are the steady-state residuals; 4-5 the real and
     imaginary parts of the characteristic function at s = i*omega for the
     linearization built at (n, p, z, m).  A caller that already holds that
-    linearization passes it as ``lin``.
+    linearization, or its :class:`linearize.CharPoint`, passes it as ``lin``.
     """
     n, p, z, m, nt, omega = (float(v) for v in u)
     if p <= 0:
@@ -129,20 +131,22 @@ def _unpack(x: np.ndarray, m_scale: float) -> np.ndarray:
 
 def _scaled_residual(x: np.ndarray, params: ModelParams, m_scale: float) -> np.ndarray:
     u = _unpack(x, m_scale)
-    n, p, z, m, nt, omega = u
-    # one linearization serves the residual and its scale
-    lin = linearize.linearization_at(float(n), float(p), float(z), float(m), params)
-    raw = hopf_residual(u, params, lin)
+    n, p, z, m, nt, omega = u.tolist()
+    # one closed form, with no matrices built, serves the residual and its scale
+    point = linearize.char_point(n, p, z, m, params)
+    raw = hopf_residual(u, params, point)
     eq_scale = max(1.0, nt)
-    ch_scale = max(1.0, linearize.char_scale(1j * omega, lin))
+    ch_scale = max(1.0, linearize.char_scale(1j * omega, point))
     return np.array(
         [raw[0] / eq_scale, raw[1] / eq_scale, raw[2] / eq_scale,
          raw[3] / ch_scale, raw[4] / ch_scale]
     )
 
 
-def _fd_jacobian(x: np.ndarray, params: ModelParams, m_scale: float) -> np.ndarray:
-    base = _scaled_residual(x, params, m_scale)
+def _fd_jacobian(
+    x: np.ndarray, params: ModelParams, m_scale: float, base: np.ndarray
+) -> np.ndarray:
+    """Forward-difference Jacobian; ``base`` is the scaled residual at x."""
     jac = np.empty((5, x.size))
     for j in range(x.size):
         xs = x.copy()
@@ -163,12 +167,13 @@ def _newton_corrector(
     params: ModelParams,
     m_scale: float,
     opts: TraceOptions,
-) -> tuple[np.ndarray, int] | None:
+) -> tuple[np.ndarray, int, np.ndarray] | None:
     """Newton on [scaled residual; tangent . (x - plane_point)] from x0.
 
-    Returns (solution, iterations) or None on failure.  An iterate whose
-    residual leaves the floating-point range (``math.exp`` or ``10**x``
-    overflowing far outside the domain) counts as a failure too.
+    Returns (solution, iterations, scaled residual there) or None on
+    failure.  An iterate whose residual leaves the floating-point range
+    (``math.exp`` or ``10**x`` overflowing far outside the domain) counts as
+    a failure too.
     """
     x = x0.copy()
     for it in range(1, opts.max_newton + 1):
@@ -179,9 +184,9 @@ def _newton_corrector(
         arc = float(tangent @ (x - plane_point))
         f = np.concatenate([res, [arc]])
         if np.max(np.abs(f)) <= opts.corrector_tol:
-            return x, it
+            return x, it, res
         try:
-            jac = _fd_jacobian(x, params, m_scale)
+            jac = _fd_jacobian(x, params, m_scale, res)
         except (TdePlanktonError, OverflowError):
             return None
         full = np.vstack([jac, tangent])
@@ -240,18 +245,28 @@ def find_start(
     omega_window: tuple[float, float] | None = None,
     grid_n: int = 256,
     bisect_rtol: float = 1e-3,
+    lins: dict | None = None,
 ) -> BoundaryPoint:
     """Locate one boundary point at fixed maturity by bisecting total biomass.
 
     Bisects on the sign of the (optionally frequency-windowed) rightmost real
     part, then Newton-polishes the remaining five unknowns with m frozen.
+    ``lins`` maps (m, n_total) to the equilibrium and linearization there;
+    calls with the same ``params`` sharing one dict reuse each other's scans.
     """
     work = replace(params, m=m_fixed)
+    lins = {} if lins is None else lins
+
+    def linearized(nt: float) -> tuple:  # (EquilibriumPoint, LinearizationData)
+        got = lins.get((m_fixed, nt))
+        if got is None:
+            p_run = replace(work, n_total=nt)
+            eq = equilibria.solve_e2(p_run)
+            got = lins[m_fixed, nt] = (eq, linearize.build_linearization(eq, p_run))
+        return got
 
     def signal(nt: float) -> float | None:
-        p_run = replace(work, n_total=nt)
-        eq = equilibria.solve_e2(p_run)
-        lin = linearize.build_linearization(eq, p_run)
+        lin = linearized(nt)[1]
         if omega_window is None:
             return linearize.rightmost_real_part(lin, grid_n=grid_n)
         return linearize.rightmost_in_window(lin, omega_window, grid_n=grid_n)
@@ -273,9 +288,7 @@ def find_start(
             lo, f_lo = mid, f_mid
     nt_mid = 0.5 * (lo + hi)
 
-    p_mid = replace(work, n_total=nt_mid)
-    eq = equilibria.solve_e2(p_mid)
-    lin = linearize.build_linearization(eq, p_mid)
+    eq, lin = linearized(nt_mid)
     scan = linearize.scan_roots(lin, grid_n=grid_n)
     roots = linearize._drop_structural_zero(scan.roots, lin)
     if omega_window is not None:
@@ -343,13 +356,14 @@ def trace_curve(
     opts = opts or TraceOptions()
     m_scale = _m_scale(params)
     x = _pack(start.as_array(), m_scale)
-    res0 = np.max(np.abs(_scaled_residual(x, params, m_scale)))
+    res = _scaled_residual(x, params, m_scale)
+    res0 = np.max(np.abs(res))
     if res0 > 10 * opts.corrector_tol:
         raise DomainError(f"start point residual {res0:g} is too large to trace from")
 
     points = [_point_from_scaled(x, m_scale)]
     x_start = x.copy()
-    tangent = _tangent(_fd_jacobian(x, params, m_scale))
+    tangent = _tangent(_fd_jacobian(x, params, m_scale, res))
     if opts.initial_direction is not None:
         if float(tangent @ np.asarray(opts.initial_direction)) < 0:
             tangent = -tangent
@@ -374,7 +388,7 @@ def trace_curve(
             if h < opts.h_min:
                 return BoundaryCurve(points, CurveEnd.STEP_FAILURE)
             continue
-        x_new, iters = got
+        x_new, iters, res = got
         pt = _point_from_scaled(x_new, m_scale)
         if pt.omega < OMEGA_FLOOR:
             return BoundaryCurve(points, CurveEnd.OMEGA_COLLAPSE)
@@ -392,7 +406,7 @@ def trace_curve(
 
         points.append(pt)
         steps += 1
-        new_tangent = _tangent(_fd_jacobian(x_new, params, m_scale))
+        new_tangent = _tangent(_fd_jacobian(x_new, params, m_scale, res))
         if float(new_tangent @ tangent) < 0:
             new_tangent = -new_tangent
         x, tangent = x_new, new_tangent

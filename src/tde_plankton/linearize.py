@@ -16,9 +16,11 @@ A2 and A3 act on the zooplankton row only, so it is Q(s) + exp(-s*T) R(s)
 + K(s) S(s) with polynomials fixed once per linearization, evaluated as that
 row's entries times their cofactor polynomials (so its rounding error stays
 in step with the row norms of the Hadamard yardstick) and with an exact
-derivative.  Root location is grid-seeded damped-free Newton iteration on
-that derivative; the verdict helper returns the largest real part found,
-which backs every stability claim made elsewhere in the package.
+derivative; its entries come from one float-only kernel, :func:`char_point`.
+Root location is grid-seeded damped-free Newton iteration on that
+derivative, each scan kept on its linearization; the verdict helper returns
+the largest real part found, which backs every stability claim made
+elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -56,16 +58,59 @@ class CharForm(NamedTuple):
     cofactors: tuple[float, ...]
 
 
-def _char_form(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> CharForm:
-    if np.any(a2[:2] != 0) or np.any(a3[:2] != 0):
-        raise DomainError("delayed and distributed terms must act on the zooplankton row only")
-    (a00, a01, a02), (a10, a11, a12), bottom = a1.tolist()
+def _form(top: tuple[float, ...], bottom: tuple[float, ...]) -> CharForm:
+    a00, a01, a02, a10, a11, a12 = top
     return CharForm(
-        top=(a00, a01, a02, a10, a11, a12),
-        bottom=(*bottom, *a2[2].tolist(), *a3[2].tolist()),
+        top=top,
+        bottom=bottom,
         cofactors=(a02, a01 * a12 - a02 * a11, a12, a02 * a10 - a12 * a00,
                    -(a00 + a11), a00 * a11 - a01 * a10),
     )
+
+
+def _char_form(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> CharForm:
+    if np.any(a2[:2] != 0) or np.any(a3[:2] != 0):
+        raise DomainError("delayed and distributed terms must act on the zooplankton row only")
+    return _form(tuple(a1[:2].ravel().tolist()),
+                 (*a1[2].tolist(), *a2[2].tolist(), *a3[2].tolist()))
+
+
+class CharPoint(NamedTuple):
+    """All that char_fn and char_scale read of a linearization."""
+
+    char_form: CharForm
+    t_delay: float
+
+
+def char_point(n: float, p: float, z: float, m: float, params: ModelParams) -> CharPoint:
+    """Closed form of the linearization at (n, p, z, m), from plain floats.
+
+    DomainError for p <= 0 or n < 0, SingularRateError for R(p) below the
+    floor, OverflowError where exp(-delta0*m/R) leaves the float range.
+    """
+    if p <= 0:
+        raise DomainError("linearization requires p_star > 0")
+    el = params.l
+    r = 1.0 if el is None else p / (p + el)
+    if r < params.r_floor:
+        raise SingularRateError("growth rate below floor at the linearization point")
+    rp = 0.0 if el is None else el / (p + el) ** 2
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n!r}")
+    k, kk = params.k, params.kk
+    a, b = k / (n + k) ** 2, kk / (p + kk) ** 2  # f'(n), h'(p)
+    c, d = n / (n + k), p / (p + kk)  # f(n), h(p)
+    mu, lam, g, gam = params.mu, params.lam, params.g, params.gamma
+    delta, delta0 = params.delta, params.delta0
+    big_t = m / r
+    surv = math.exp(-delta0 * big_t)
+    top = (-mu * p * a - delta0, -mu * c + lam + (1 - gam) * g * z * b - delta0,
+           delta - delta0 + (1 - gam) * g * d,
+           mu * p * a, mu * c - lam - g * z * b, -g * d)
+    bottom = (0.0, surv * gam * g * z * d * rp / r, -delta,  # row 2 of a1,
+              0.0, surv * gam * g * z * (b - rp / r * d), surv * gam * g * d,  # of a2,
+              0.0, delta0 * surv * gam * g * z * d * rp / r, 0.0)  # of a3
+    return CharPoint(_form(top, bottom), big_t)
 
 
 @dataclass(frozen=True)
@@ -76,7 +121,7 @@ class LinearizationData:
     ``t_delay`` ago, and ``a3`` on the history integral over the delay
     window.  The reference growth rate is pinned to R(p_star) here so the
     threshold-delay and fixed-delay linearizations coincide.  The closed
-    form of the characteristic function is derived on construction.
+    form is derived on construction; ``scans`` holds this instance's root scans.
     """
 
     a1: np.ndarray
@@ -90,57 +135,32 @@ class LinearizationData:
     delta0: float
     rate_scale: float
     char_form: CharForm = field(init=False, repr=False, compare=False)
+    scans: dict = field(init=False, repr=False, compare=False)  # (omega_max, grid_n) -> RootScan
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "char_form", _char_form(self.a1, self.a2, self.a3))
+        object.__setattr__(self, "scans", {})
 
 
 def linearization_at(
     n_star: float, p_star: float, z_star: float, m: float, params: ModelParams
 ) -> LinearizationData:
-    """Linearization matrices evaluated at an arbitrary state.
-
-    Used directly by the boundary continuation, where the state is only an
-    approximate equilibrium while the corrector is still iterating.
-    """
-    if p_star <= 0:
-        raise DomainError("linearization requires p_star > 0")
-    r = float(model.r_growth(p_star, params))
-    if r < params.r_floor:
-        raise SingularRateError("growth rate below floor at the linearization point")
-    rp = float(model.r_growth_prime(p_star, params))
-    a = float(model.f_uptake_prime(n_star, params))
-    b = float(model.h_grazing_prime(p_star, params))
-    c = float(model.f_uptake(n_star, params))
-    d = float(model.h_grazing(p_star, params))
-    mu, lam, g, gam = params.mu, params.lam, params.g, params.gamma
-    delta, delta0 = params.delta, params.delta0
-    big_t = m / r
-    surv = math.exp(-delta0 * big_t)
-    a1 = np.array(
-        [
-            [-mu * p_star * a - delta0, -mu * c + lam + (1 - gam) * g * z_star * b - delta0,
-             delta - delta0 + (1 - gam) * g * d],
-            [mu * p_star * a, mu * c - lam - g * z_star * b, -g * d],
-            [0.0, surv * gam * g * z_star * d * rp / r, -delta],
-        ]
-    )
-    a2 = np.zeros((3, 3))
-    a2[2, 1] = surv * gam * g * z_star * (b - rp / r * d)
-    a2[2, 2] = surv * gam * g * d
-    a3 = np.zeros((3, 3))
-    a3[2, 1] = delta0 * surv * gam * g * z_star * d * rp / r
+    """Linearization matrices at an arbitrary state, from :func:`char_point`."""
+    point = char_point(n_star, p_star, z_star, m, params)
+    top, bottom = point.char_form.top, point.char_form.bottom
+    a2, a3 = np.zeros((3, 3)), np.zeros((3, 3))
+    a2[2], a3[2] = bottom[3:6], bottom[6:]
     return LinearizationData(
-        a1=a1,
+        a1=np.array([top[:3], top[3:], bottom[:3]]),
         a2=a2,
         a3=a3,
-        t_delay=big_t,
-        coeff_a=a,
-        coeff_b=b,
-        coeff_c=c,
-        coeff_d=d,
-        delta0=delta0,
-        rate_scale=max(mu, g, delta),
+        t_delay=point.t_delay,
+        coeff_a=float(model.f_uptake_prime(n_star, params)),
+        coeff_b=float(model.h_grazing_prime(p_star, params)),
+        coeff_c=float(model.f_uptake(n_star, params)),
+        coeff_d=float(model.h_grazing(p_star, params)),
+        delta0=params.delta0,
+        rate_scale=max(params.mu, params.g, params.delta),
     )
 
 
@@ -208,7 +228,7 @@ def _hadamard(s, row, form: CharForm):
             * sqrt(_sq_abs(row[0]) + _sq_abs(row[1]) + _sq_abs(row[2])))
 
 
-def _evaluate(s, lin: LinearizationData, fn, nan):
+def _evaluate(s, lin: LinearizationData | CharPoint, fn, nan):
     """fn(s, exp(-s*T), K(s), form) in plain complex arithmetic at a scalar
     (``nan`` where cmath leaves the float range), in numpy at an array."""
     if isinstance(s, (complex, float, int)) or np.ndim(s) == 0:
@@ -223,7 +243,7 @@ def _evaluate(s, lin: LinearizationData, fn, nan):
         return fn(s, e, kern, lin.char_form)
 
 
-def char_fn(s, lin: LinearizationData):
+def char_fn(s, lin: LinearizationData | CharPoint):
     """Characteristic function at a complex scalar or an ndarray of seeds.
 
     Far-field points, where exp(-s*T) overflows, give non-finite values.
@@ -235,7 +255,7 @@ def _scale(s, e, kern, form: CharForm):
     return _hadamard(s, _bottom_row(s, e, kern, form), form)
 
 
-def char_scale(s, lin: LinearizationData):
+def char_scale(s, lin: LinearizationData | CharPoint):
     """Hadamard bound on |char_fn|: product of row norms. Relative-error yardstick."""
     return _evaluate(s, lin, _scale, math.nan)
 
@@ -334,11 +354,17 @@ def scan_roots(
     omega_max: float | None = None,
     grid_n: int = 512,
 ) -> RootScan:
-    """Newton root sweep from imaginary-axis seeds plus a real-axis line."""
+    """Newton root sweep from imaginary-axis seeds plus a real-axis line.
+
+    Kept on ``lin``: a repeat returns the same scan, with read-only roots.
+    """
     if grid_n < 64:
         raise DomainError("grid_n must be at least 64")
     if omega_max is None:
         omega_max = default_omega_max(lin)
+    scan = lin.scans.get((omega_max, grid_n))
+    if scan is not None:
+        return scan
     seeds = np.concatenate(
         [
             1j * np.linspace(0.0, omega_max, grid_n),
@@ -349,8 +375,10 @@ def scan_roots(
     coverage = float(np.mean(ok)) if seeds.size else 0.0
     kept = roots[ok]
     # conjugate symmetry: fold onto the upper half plane
-    kept = np.where(kept.imag < 0, np.conj(kept), kept)
-    return RootScan(roots=_dedupe(kept), coverage=coverage)
+    kept = _dedupe(np.where(kept.imag < 0, np.conj(kept), kept))
+    kept.flags.writeable = False
+    scan = lin.scans[omega_max, grid_n] = RootScan(roots=kept, coverage=coverage)
+    return scan
 
 
 def _drop_structural_zero(roots: np.ndarray, lin: LinearizationData) -> np.ndarray:

@@ -124,7 +124,7 @@ class ModelParams:
 
 
 def _check_nonneg(x, name: str) -> None:
-    if np.ndim(x) == 0:
+    if type(x) is float or np.ndim(x) == 0:  # plain floats skip np.ndim
         if x < 0:
             raise DomainError(f"{name} must be nonnegative, got {x!r}")
     elif np.any(np.asarray(x) < 0):

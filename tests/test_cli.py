@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,6 +80,28 @@ class TestExitCodes:
         assert run_cli(["check", "--out", str(tmp_path)]) == 0
         report = (tmp_path / "report.jsonl").read_text().splitlines()
         assert all(json.loads(line)["status"] in ("pass", "skipped") for line in report)
+
+
+class TestWriteCsv:
+    def test_matches_per_value_formatting(self, tmp_path):
+        rows = [
+            [0, "E2", 1.5, -0.0, math.nan, np.float64(2.5e-300), True],
+            [17, "degenerate", math.inf, -math.inf, 1e100, np.float64(-7.0), False],
+            [3, "e0", 0.1, 1 / 3, -1.0, np.float64(math.nan), True],
+        ]
+        path = tmp_path / "mixed.csv"
+        cli._write_csv(path, list("abcdefg"), rows)
+        # the per-value formatting the writer replaced
+        expect = "a,b,c,d,e,f,g\n" + "".join(
+            ",".join(f"{v:.16e}" if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows
+        )
+        assert path.read_text() == expect
+        assert "-0.0000000000000000e+00" in expect and "nan" in expect and "-inf" in expect
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        cli._write_csv(tmp_path / "empty.csv", ["x", "y"], [])
+        assert (tmp_path / "empty.csv").read_text() == "x,y\n"
 
 
 class TestEquilibriaCommand:
@@ -199,6 +222,21 @@ class TestTraceCommand:
         assert freq["omega"].size == data["omega"].size
         md = json.loads((tmp_path / "metadata.json").read_text())
         assert md["curves"][0]["points"] == data["omega"].size
+
+    def test_deterministic_and_reproducible(self, tmp_path):
+        # ten windows at one maturity share their scans; nothing may leak
+        # from one run into the next
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        args = ["trace-boundary", "--preset", "fig4-l0.159-d0",
+                "--set", "continuation.m_seeds=3.0", "--set", "continuation.max_steps=30"]
+        assert run_cli(args + ["--out", str(a)]) == 0
+        assert run_cli(args + ["--out", str(b)]) == 0
+        assert run_cli(["trace-boundary", "--config", str(a / "resolved.cfg"),
+                        "--out", str(c)]) == 0
+        assert json.loads((a / "metadata.json").read_text())["curves"]
+        for name in ("curves.csv", "frequency_profile.csv", "metadata.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+            assert (a / name).read_bytes() == (c / name).read_bytes()
 
     def test_maturity_clipped_with_warning(self, tmp_path, capsys):
         code = run_cli([

@@ -1,12 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tde_plankton import continuation, equilibria, linearize
+from tde_plankton import cli, continuation, equilibria, linearize, model
+from tde_plankton.config import build_config
 from tde_plankton.continuation import BoundaryCurve, BoundaryPoint, CurveEnd, TraceOptions
-from tde_plankton.exceptions import DomainError, NoSignChangeError
+from tde_plankton.exceptions import (
+    DomainError,
+    NoSignChangeError,
+    SingularRateError,
+    TdePlanktonError,
+)
 from tde_plankton.model import ModelParams
+from tde_plankton.presets import preset_values
 
 from conftest import bisect_oracle
 
@@ -45,6 +55,154 @@ class TestHopfResidual:
         u[1] = -0.1
         with pytest.raises(DomainError):
             continuation.hopf_residual(u, params)
+
+
+#: Traced boundary points (n_star, p_star, z_star, m, n_total, omega), two
+#: per preset, covering both responses and delta0 in {0, 0.17}; the second
+#: fig4-l0.159-dd point is the m = 6 crossing between fig6-stable and
+#: fig6-unstable.
+BOUNDARY_POINTS = {
+    "fig4-l0.159-dd": [
+        (20.467574336941396, 0.2762178974085852, 1.0224632813857135,
+         6.834700142960657, 27.122340755789068, 0.45411368398355845),
+        (0.6595510534361235, 0.236286571992287, 0.41112209023762486,
+         6.0, 3.1606793698568847, 0.8443190121567277),
+    ],
+    "fig4-l0.159-d0": [
+        (1.5985189159189352, 0.03594080338266331, 0.5346158736346655,
+         2.6004527452748194, 3.450977247560826, 0.8499945336030269),
+        (4.0508484073159075, 0.035940803382663616, 0.69776228118123,
+         4.042517284681119, 7.385449169861865, 0.6861033895134405),
+    ],
+    "fig2-right": [
+        (0.7075551030690089, 0.1618068173772381, 0.4029423936935051,
+         8.175667719666327, 2.4868944227987724, 0.3456295782319922),
+        (3.8171348179548272, 3.788663165644834, 3.1866539036314228,
+         18.393847019403626, 80.27556412614862, 0.24089064087360818),
+    ],
+    "fig2-left": [
+        (0.1947875574700428, 0.03594080338266336, 0.1398347862119508,
+         0.9555367893532661, 0.39327808511632456, 0.4662860342692912),
+        (0.10495308024026023, 0.03594080338266252, 0.08041960477506267,
+         3.97840975542256, 0.27570365222592247, 0.3083211905399638),
+    ],
+}
+BOUNDARY_CASES = [(name, pt) for name, pts in BOUNDARY_POINTS.items() for pt in pts]
+
+
+def _preset_params(name):
+    return build_config(preset_values(name), None, {}).params
+
+
+def _matrix_linearization(n_star, p_star, z_star, m, params):
+    """The matrix construction the closed-form residual replaced, through the
+    public model responses."""
+    if p_star <= 0:
+        raise DomainError("linearization requires p_star > 0")
+    r = float(model.r_growth(p_star, params))
+    if r < params.r_floor:
+        raise SingularRateError("growth rate below floor at the linearization point")
+    rp = float(model.r_growth_prime(p_star, params))
+    a = float(model.f_uptake_prime(n_star, params))
+    b = float(model.h_grazing_prime(p_star, params))
+    c = float(model.f_uptake(n_star, params))
+    d = float(model.h_grazing(p_star, params))
+    mu, lam, g, gam = params.mu, params.lam, params.g, params.gamma
+    delta, delta0 = params.delta, params.delta0
+    big_t = m / r
+    surv = math.exp(-delta0 * big_t)
+    a1 = np.array([
+        [-mu * p_star * a - delta0, -mu * c + lam + (1 - gam) * g * z_star * b - delta0,
+         delta - delta0 + (1 - gam) * g * d],
+        [mu * p_star * a, mu * c - lam - g * z_star * b, -g * d],
+        [0.0, surv * gam * g * z_star * d * rp / r, -delta],
+    ])
+    a2 = np.zeros((3, 3))
+    a2[2, 1] = surv * gam * g * z_star * (b - rp / r * d)
+    a2[2, 2] = surv * gam * g * d
+    a3 = np.zeros((3, 3))
+    a3[2, 1] = delta0 * surv * gam * g * z_star * d * rp / r
+    return linearize.LinearizationData(
+        a1=a1, a2=a2, a3=a3, t_delay=big_t, coeff_a=a, coeff_b=b, coeff_c=c, coeff_d=d,
+        delta0=delta0, rate_scale=max(mu, g, delta),
+    )
+
+
+def _matrix_scaled_residual(x, params, m_scale):
+    u = continuation._unpack(x, m_scale)
+    n, p, z, m, nt, omega = u
+    lin = _matrix_linearization(float(n), float(p), float(z), float(m), params)
+    raw = continuation.hopf_residual(u, params, lin)
+    eq_scale = max(1.0, nt)
+    ch_scale = max(1.0, linearize.char_scale(1j * omega, lin))
+    return np.array([raw[0] / eq_scale, raw[1] / eq_scale, raw[2] / eq_scale,
+                     raw[3] / ch_scale, raw[4] / ch_scale])
+
+
+def _outcome(fn, *args):
+    """The residual's bytes, or the type of the error it raised."""
+    try:
+        return fn(*args).tobytes()
+    except (TdePlanktonError, OverflowError) as err:
+        return type(err)
+
+
+class TestScaledResidualFastPath:
+    """The closed-form residual against the full matrix linearization."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=st.sampled_from(BOUNDARY_CASES),
+        rel=st.lists(st.floats(-0.1, 0.1), min_size=6, max_size=6),
+    )
+    def test_bit_identical_near_boundary_points(self, case, rel):
+        name, point = case
+        params = _preset_params(name)
+        m_scale = continuation._m_scale(params)
+        u = np.array(point) * (1.0 + np.array(rel))
+        x = continuation._pack(u, m_scale)
+        got = _outcome(continuation._scaled_residual, x, params, m_scale)
+        assert isinstance(got, bytes)
+        assert got == _outcome(_matrix_scaled_residual, x, params, m_scale)
+        # the matrices built from the kernel's entries are the old ones too
+        n, p, z, m = continuation._unpack(x, m_scale).tolist()[:4]
+        new, old = (build(n, p, z, m, params)
+                    for build in (linearize.linearization_at, _matrix_linearization))
+        for name in ("a1", "a2", "a3"):
+            assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
+        scalars = ("t_delay", "coeff_a", "coeff_b", "coeff_c", "coeff_d", "delta0", "rate_scale")
+        assert [getattr(new, f) for f in scalars] == [getattr(old, f) for f in scalars]
+        assert new.char_form == old.char_form
+
+    @pytest.mark.parametrize("name", list(BOUNDARY_POINTS))
+    @pytest.mark.parametrize("axis, value, r_floor, error", [
+        (1, 0.0, None, DomainError),  # p = 0
+        (1, -0.1, None, DomainError),  # p < 0
+        (0, -0.1, None, DomainError),  # n < 0
+        (1, 1e-300, None, SingularRateError),  # R(p) below the default floor
+        (None, None, 2.0, SingularRateError),  # R(p) below a floor above sup R
+        (4, 400.0, None, OverflowError),  # log10 n_total: 10**400 overflows
+    ])
+    def test_same_errors(self, name, axis, value, r_floor, error):
+        params = _preset_params(name)
+        if r_floor is not None:
+            params = replace(params, r_floor=r_floor)
+        m_scale = continuation._m_scale(params)
+        u = np.array(BOUNDARY_POINTS[name][0])
+        if axis in (0, 1):
+            u[axis] = value
+        x = continuation._pack(u, m_scale)
+        if axis == 4:
+            x[4] = value
+        if error is SingularRateError and params.l is None and r_floor is None:
+            error = bytes  # the constant response R = 1 never drops below the floor
+        got = _outcome(continuation._scaled_residual, x, params, m_scale)
+        assert got == _outcome(_matrix_scaled_residual, x, params, m_scale)
+        assert (type(got) if isinstance(got, bytes) else got) is error
+        if error in (DomainError, SingularRateError):  # raised by the kernel itself
+            n, p, z, m = continuation._unpack(x, m_scale).tolist()[:4]
+            with pytest.raises(error):
+                linearize.char_point(n, p, z, m, params)
 
 
 class TestNewtonCorrector:
@@ -94,6 +252,37 @@ class TestFindStart:
         params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
         with pytest.raises(NoSignChangeError):
             continuation.find_start(params, 6.0, (0.5, 1.5))
+
+    def test_shared_linearizations_give_the_same_starts(self, monkeypatch):
+        # fig4-l0.159-d0 at m = 3: the ten auto windows bisect one bracket
+        params = _preset_params("fig4-l0.159-d0")
+        tr = build_config(preset_values("fig4-l0.159-d0"), None, {}).trace
+        nt2 = equilibria.compute_nt2(replace(params, m=3.0))
+        bracket = (max(tr.nt_min, nt2 * 1.001), tr.nt_max)
+        batches = []
+        newton_batch = linearize._newton_batch
+        monkeypatch.setattr(linearize, "_newton_batch",
+                            lambda *a, **k: batches.append(1) or newton_batch(*a, **k))
+
+        def starts(lins_for_window):
+            out = []
+            for window in cli._auto_windows():
+                try:
+                    out.append(continuation.find_start(
+                        params, 3.0, bracket, omega_window=window, grid_n=tr.grid_n,
+                        lins=lins_for_window(),
+                    ))
+                except TdePlanktonError as err:
+                    out.append(type(err))
+            return out
+
+        fresh = starts(dict)
+        fresh_batches = len(batches)
+        batches.clear()
+        one_dict: dict = {}
+        assert starts(lambda: one_dict) == fresh
+        assert any(isinstance(s, BoundaryPoint) for s in fresh)
+        assert len(batches) < fresh_batches
 
     def test_quoted_crossing_location(self, loop_family):
         _, start = loop_family
@@ -175,9 +364,9 @@ class TestTraceCurve:
             if d < best_d:
                 best, best_d = foot, d
         assert best_d <= opts.h_max  # the reverse branch passes by the start
-        tangent = continuation._tangent(
-            continuation._fd_jacobian(x_start, params, m_scale)
-        )
+        tangent = continuation._tangent(continuation._fd_jacobian(
+            x_start, params, m_scale, continuation._scaled_residual(x_start, params, m_scale)
+        ))
         proj = continuation.project_onto_curve(
             best, x_start, tangent, params, m_scale, opts
         )

@@ -418,6 +418,34 @@ class TestRoots:
         assert linearize.rightmost_real_part(lin0, grid_n=128) < 0
 
 
+class TestScanReuse:
+    def test_repeat_returns_the_stored_scan(self, table1):
+        _, _, lin = e2_lin(table1)
+        first = linearize.scan_roots(lin, grid_n=128)
+        assert linearize.scan_roots(lin, grid_n=128) is first
+        # the verdicts read the same stored scan (default omega_max)
+        assert linearize.rightmost_real_part(lin, grid_n=128) == max(first.roots.real)
+        assert len(lin.scans) == 1
+        other = linearize.scan_roots(lin, grid_n=256)
+        assert other is not first and len(lin.scans) == 2
+        assert linearize.scan_roots(lin, omega_max=5.0, grid_n=128) is not first
+
+    def test_stored_roots_are_read_only(self, table1):
+        _, _, lin = e2_lin(table1)
+        scan = linearize.scan_roots(lin, grid_n=128)
+        with pytest.raises(ValueError):
+            scan.roots[0] = 0.0
+
+    def test_a_replaced_copy_starts_without_scans(self, table1):
+        _, _, lin = e2_lin(table1)
+        first = linearize.scan_roots(lin, grid_n=128)
+        for copy in (dataclasses.replace(lin), dataclasses.replace(lin, a2=-lin.a2)):
+            assert copy.scans == {}
+            assert linearize.scan_roots(copy, grid_n=128) is not first
+        again = linearize.scan_roots(dataclasses.replace(lin), grid_n=128)
+        assert np.array_equal(again.roots, first.roots)
+
+
 class TestTauFrechet:
     def test_zero_perturbation(self, table1):
         p = table1(delta0=0.17, m=6.0, n_total=1.0)
