@@ -27,13 +27,10 @@ import numpy as np
 
 from . import checks, continuation, equilibria, simulate
 from .config import RunConfig, build_config, dump_flat, parse_flat_text
-from .continuation import BoundaryCurve, CurveEnd, TraceOptions
+from .continuation import BoundaryCurve, TraceOptions
 from .exceptions import (
     ConfigError,
     InfeasibleBiomassError,
-    NoConvergeError,
-    NoSignChangeError,
-    NotExistError,
     ParamError,
     TdePlanktonError,
 )
@@ -145,7 +142,7 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
                 params, m, (lo, tr.nt_max), omega_window=window, grid_n=tr.grid_n,
                 lins=lins,
             )
-        except (NoSignChangeError, NoConvergeError, NotExistError, TdePlanktonError) as err:
+        except TdePlanktonError as err:
             failures.append(
                 {"m": m, "window": window, "error": type(err).__name__, "detail": str(err)}
             )
@@ -199,7 +196,7 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
             "curve_id": cid,
             "points": len(curve.points),
             "termination_forward": curve.termination.value,
-            "termination_backward": back_terms.get(id(curve), CurveEnd.DOMAIN_BOUND).value,
+            "termination_backward": back_terms[id(curve)].value,
         })
 
     _write_csv(

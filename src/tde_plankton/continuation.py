@@ -8,8 +8,10 @@ characteristic function at s = i*omega, leaving one-dimensional solution
 curves.  These are followed by pseudo-arclength continuation: a tangent
 predictor from the nullspace of the finite-difference Jacobian and a Newton
 corrector on the residuals augmented with the arclength hyperplane.  The
-residual reads the characteristic function off the float-only closed form
-(:func:`linearize.char_point`), with no matrices built.
+same corrector polishes a start point, its hyperplane the unit vector along
+m so that m stays fixed.  The residual reads the characteristic function
+off the float-only closed form (:func:`linearize.char_point`), with no
+matrices built.
 
 Working coordinates are scaled so arclength is meaningful across the decades
 the curves span: pools by n_total, n_total by log10, m by the maturity
@@ -222,19 +224,17 @@ def _point_from_scaled(x: np.ndarray, m_scale: float) -> BoundaryPoint:
     return BoundaryPoint(n_star=n, p_star=p, z_star=z, m=m, n_total=nt, omega=omega)
 
 
-def _in_domain(pt: BoundaryPoint, params: ModelParams, opts: TraceOptions) -> bool:
-    ceiling = equilibria.m_ceiling(params)
-    if not (max(0.0, opts.m_min) <= pt.m < min(ceiling, opts.m_max)):
-        return False
-    if not (opts.nt_min <= pt.n_total <= opts.nt_max):
-        return False
-    if pt.z_star <= 0:
-        return False
-    try:
-        nt2 = equilibria.compute_nt2(replace(params, m=pt.m))
-    except TdePlanktonError:
-        return False
-    return pt.n_total > nt2
+def _in_domain(pt: BoundaryPoint, ceiling: float, opts: TraceOptions) -> bool:
+    """Inside the trace box, below the maturity ceiling, with zooplankton.
+
+    On a steady state n_total - nt2(m) = (n - nt1) + z*(1 + gamma*g*h*disc)
+    and n - nt1 has the sign of z, so z_star > 0 already means n_total > nt2.
+    """
+    return (
+        max(0.0, opts.m_min) <= pt.m < min(ceiling, opts.m_max)
+        and opts.nt_min <= pt.n_total <= opts.nt_max
+        and pt.z_star > 0
+    )
 
 
 def find_start(
@@ -250,7 +250,8 @@ def find_start(
     """Locate one boundary point at fixed maturity by bisecting total biomass.
 
     Bisects on the sign of the (optionally frequency-windowed) rightmost real
-    part, then Newton-polishes the remaining five unknowns with m frozen.
+    part, then polishes the remaining five unknowns with the stepping
+    corrector, its arclength row pinning m; any failure is a NoConvergeError.
     ``lins`` maps (m, n_total) to the equilibrium and linearization there;
     calls with the same ``params`` sharing one dict reuse each other's scans.
     """
@@ -289,54 +290,21 @@ def find_start(
     nt_mid = 0.5 * (lo + hi)
 
     eq, lin = linearized(nt_mid)
-    scan = linearize.scan_roots(lin, grid_n=grid_n)
-    roots = linearize._drop_structural_zero(scan.roots, lin)
-    if omega_window is not None:
-        roots = roots[(roots.imag >= omega_window[0]) & (roots.imag < omega_window[1])]
-    if roots.size == 0:
+    s_near = linearize._rightmost_root(lin, omega_window, None, grid_n)
+    if s_near is None:
         raise NoConvergeError("no candidate root near the bisected crossing")
-    s_near = roots[np.argmax(roots.real)]
     omega0 = abs(s_near.imag)
     if omega0 < OMEGA_FLOOR:
         raise NoConvergeError("crossing root has no oscillatory part (not a boundary point)")
 
-    # Newton on (n, p, z, nt, omega) with m frozen, in scaled coordinates
+    # the stepping corrector, its arclength row pinning m
     m_scale = _m_scale(params)
-    opts = TraceOptions()
-
-    def res5(y: np.ndarray) -> np.ndarray:
-        nt = 10.0 ** float(y[3])
-        u = np.array([y[0] * nt, y[1] * nt, y[2] * nt, m_fixed, nt, y[4]])
-        return _scaled_residual(_pack(u, m_scale), params, m_scale)
-
-    nt = nt_mid
-    y = np.array([eq.n_star / nt, eq.p_star / nt, eq.z_star / nt, math.log10(nt), omega0])
-    for _ in range(25):
-        try:
-            r = res5(y)
-            if np.max(np.abs(r)) <= 1e-9:
-                break
-            jac = np.empty((5, 5))
-            for j in range(5):
-                ys = y.copy()
-                ys[j] += FD_STEP
-                jac[:, j] = (res5(ys) - r) / FD_STEP
-        except OverflowError as err:
-            raise NoConvergeError("start-point Newton left the floating-point range") from err
-        try:
-            y = y - np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError as err:
-            raise NoConvergeError("singular Jacobian while polishing the start point") from err
-        if not np.all(np.isfinite(y)):
-            raise NoConvergeError("start-point Newton diverged")
-    else:
-        raise NoConvergeError("start-point Newton did not reach tolerance")
-
-    nt = 10.0 ** y[3]
-    pt = BoundaryPoint(
-        n_star=y[0] * nt, p_star=y[1] * nt, z_star=y[2] * nt,
-        m=m_fixed, n_total=nt, omega=abs(y[4]),
-    )
+    x0 = _pack(np.array([eq.n_star, eq.p_star, eq.z_star, m_fixed, nt_mid, omega0]), m_scale)
+    got = _newton_corrector(x0, x0, np.eye(6)[3], params, m_scale, TraceOptions())
+    if got is None:
+        raise NoConvergeError("start-point corrector did not converge")
+    n, p, z, _, nt, omega = _unpack(got[0], m_scale)
+    pt = BoundaryPoint(n_star=n, p_star=p, z_star=z, m=m_fixed, n_total=nt, omega=abs(omega))
     check = np.max(np.abs(_scaled_residual(_pack(pt.as_array(), m_scale), params, m_scale)))
     if check > 1e-9:
         raise NoConvergeError(f"polished start point residual {check:g} exceeds 1e-9")
@@ -354,6 +322,7 @@ def trace_curve(
     the step length adapts within [h_min, h_max].
     """
     opts = opts or TraceOptions()
+    ceiling = equilibria.m_ceiling(params)
     m_scale = _m_scale(params)
     x = _pack(start.as_array(), m_scale)
     res = _scaled_residual(x, params, m_scale)
@@ -392,7 +361,7 @@ def trace_curve(
         pt = _point_from_scaled(x_new, m_scale)
         if pt.omega < OMEGA_FLOOR:
             return BoundaryCurve(points, CurveEnd.OMEGA_COLLAPSE)
-        if not _in_domain(pt, params, opts):
+        if not _in_domain(pt, ceiling, opts):
             return BoundaryCurve(points, CurveEnd.DOMAIN_BOUND)
 
         if steps + 1 >= opts.closed_loop_min_steps:

@@ -389,6 +389,22 @@ def _drop_structural_zero(roots: np.ndarray, lin: LinearizationData) -> np.ndarr
     return roots[np.abs(roots) > ZERO_MODE_TOL]
 
 
+def _rightmost_root(
+    lin: LinearizationData,
+    omega_window: tuple[float, float] | None,
+    omega_max: float | None,
+    grid_n: int,
+) -> complex | None:
+    """Rightmost scanned root, structural zero dropped, frequency optionally
+    windowed to [lo, hi); None when no root is left."""
+    roots = _drop_structural_zero(scan_roots(lin, omega_max=omega_max, grid_n=grid_n).roots, lin)
+    if omega_window is not None:
+        roots = roots[(roots.imag >= omega_window[0]) & (roots.imag < omega_window[1])]
+    if roots.size == 0:
+        return None
+    return complex(roots[np.argmax(roots.real)])
+
+
 def rightmost_real_part(
     lin: LinearizationData,
     omega_max: float | None = None,
@@ -399,11 +415,8 @@ def rightmost_real_part(
     Best-effort by construction: the verdict is only as good as the seed
     coverage (grid_n controls it).  Returns -inf if nothing converged.
     """
-    scan = scan_roots(lin, omega_max=omega_max, grid_n=grid_n)
-    roots = _drop_structural_zero(scan.roots, lin)
-    if roots.size == 0:
-        return -math.inf
-    return float(np.max(roots.real))
+    root = _rightmost_root(lin, None, omega_max, grid_n)
+    return -math.inf if root is None else root.real
 
 
 def rightmost_in_window(
@@ -418,13 +431,8 @@ def rightmost_in_window(
     boundary seeding find curves beyond the first loss of stability.
     Returns None when no root lands in the window.
     """
-    lo, hi = omega_window
-    scan = scan_roots(lin, omega_max=omega_max, grid_n=grid_n)
-    roots = _drop_structural_zero(scan.roots, lin)
-    roots = roots[(roots.imag >= lo) & (roots.imag < hi)]
-    if roots.size == 0:
-        return None
-    return float(np.max(roots.real))
+    root = _rightmost_root(lin, omega_window, omega_max, grid_n)
+    return None if root is None else root.real
 
 
 def tau_frechet_check(

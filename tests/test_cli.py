@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tde_plankton import checks, cli
+from tde_plankton import checks, cli, continuation
 from tde_plankton.checks import CheckHooks
 from tde_plankton.config import build_config, dump_flat, parse_flat_text
 from tde_plankton.exceptions import ConfigError
@@ -75,6 +75,35 @@ class TestExitCodes:
             "--set", "run.p0=0.9", "--set", "run.z0=0.5",
         ])
         assert code == 2
+
+    def test_singular_rate_exits_1(self, tmp_path, capsys):
+        # R(p) ~ p/l drops below r_floor = 1e-14 while p is still above the
+        # extinction floor 1e-12*n_total: the tiny pinned r_star keeps each
+        # step's fall in p small enough to land in between
+        code = run_cli([
+            "simulate", "--preset", "extinction", "--out", str(tmp_path),
+            "--set", "model.n_total=1e-6", "--set", "model.m=0",
+            "--set", "model.r_star=1e-12", "--set", "run.p0=1e-13", "--set", "run.z0=1e-13",
+            "--set", "run.dt_hat=0.01", "--set", "run.horizon_hat=60",
+        ])
+        assert code == 1
+        assert "growth rate hit the singular floor" in capsys.readouterr().err
+        md = json.loads((tmp_path / "metadata.json").read_text())
+        assert md["termination"] == "singular_rate"
+
+    def test_failing_check_exits_3(self, tmp_path, monkeypatch):
+        suite = checks.run_check_suite
+        monkeypatch.setattr(checks, "run_check_suite",
+                            lambda params: suite(params, CheckHooks(corrupt_a2_sign=True)))
+        code = run_cli([
+            "check", "--out", str(tmp_path),
+            "--set", "model.delta0=0.17", "--set", "model.m=5",
+        ])
+        assert code == 3
+        report = [json.loads(line) for line in
+                  (tmp_path / "report.jsonl").read_text().splitlines()]
+        failed = [r["check"] for r in report if r["status"] == "fail"]
+        assert failed == ["e1_factorization"]
 
     def test_check_suite_passes_defaults(self, tmp_path):
         assert run_cli(["check", "--out", str(tmp_path)]) == 0
@@ -238,6 +267,19 @@ class TestTraceCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes()
             assert (a / name).read_bytes() == (c / name).read_bytes()
 
+    def test_polish_failure_reports_and_exits_zero(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(continuation, "_newton_corrector", lambda *a, **k: None)
+        code = run_cli([
+            "trace-boundary", "--out", str(tmp_path),
+            "--set", "model.delta0=0.17", "--set", "model.m=6",
+            "--set", "continuation.m_seeds=6.0",
+            "--set", "continuation.nt_min=2.0", "--set", "continuation.nt_max=5.0",
+        ])
+        assert code == 0
+        md = json.loads((tmp_path / "metadata.json").read_text())
+        assert md["curves"] == []
+        assert [f["error"] for f in md["seed_failures"]] == ["NoConvergeError"]
+
     def test_maturity_clipped_with_warning(self, tmp_path, capsys):
         code = run_cli([
             "trace-boundary", "--out", str(tmp_path),
@@ -250,6 +292,18 @@ class TestTraceCommand:
         assert code == 0
         err = capsys.readouterr().err
         assert "clipped" in err and "dropped" in err
+
+
+class TestCheckCommand:
+    def test_deterministic_and_reproducible(self, tmp_path):
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        args = ["check", "--set", "model.delta0=0.17", "--set", "model.m=5"]
+        assert run_cli(args + ["--out", str(a)]) == 0
+        assert run_cli(args + ["--out", str(b)]) == 0
+        # a run re-ingesting its own resolved config reproduces itself
+        assert run_cli(["check", "--config", str(a / "resolved.cfg"), "--out", str(c)]) == 0
+        assert (a / "report.jsonl").read_bytes() == (b / "report.jsonl").read_bytes()
+        assert (a / "report.jsonl").read_bytes() == (c / "report.jsonl").read_bytes()
 
 
 class TestCheckHooks:

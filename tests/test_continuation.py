@@ -11,6 +11,7 @@ from tde_plankton.config import build_config
 from tde_plankton.continuation import BoundaryCurve, BoundaryPoint, CurveEnd, TraceOptions
 from tde_plankton.exceptions import (
     DomainError,
+    NoConvergeError,
     NoSignChangeError,
     SingularRateError,
     TdePlanktonError,
@@ -284,6 +285,12 @@ class TestFindStart:
         assert any(isinstance(s, BoundaryPoint) for s in fresh)
         assert len(batches) < fresh_batches
 
+    def test_corrector_failure_raises_no_converge(self, monkeypatch):
+        monkeypatch.setattr(continuation, "_newton_corrector", lambda *a, **k: None)
+        params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
+        with pytest.raises(NoConvergeError):
+            continuation.find_start(params, 6.0, (10 ** 0.4, 10 ** 0.6))
+
     def test_quoted_crossing_location(self, loop_family):
         _, start = loop_family
         assert math.log10(start.n_total) == pytest.approx(0.50, abs=0.02)
@@ -406,6 +413,46 @@ class TestTraceCurve:
         )
         with pytest.raises(DomainError):
             continuation.trace_curve(off, params)
+
+
+class TestDomainTest:
+    """On a steady state z_star > 0 holds exactly when n_total > nt2(m), so
+    the trace's domain test reads the sign of z_star instead of solving nt2."""
+
+    @pytest.mark.parametrize("l", [0.159, None])
+    @pytest.mark.parametrize("delta0", [0.0, 0.17])
+    def test_positive_zooplankton_iff_above_nt2(self, l, delta0):
+        base = ModelParams(delta0=delta0, l=l, m=0.0, n_total=1.0)
+        ceiling = equilibria.m_ceiling(base)
+        opts = TraceOptions(nt_min=-math.inf, nt_max=math.inf)  # only z_star decides
+        nt1 = equilibria.compute_nt1(base)
+        gg = base.gamma * base.g
+        for m in (0.0, 2.0, 6.0, 12.0):
+            params = replace(base, m=m)
+            p = equilibria.solve_p2star(params)
+            h = model.h_grazing(p, params)
+            disc = equilibria.maturity_discount(p, params)
+            nt2 = equilibria.compute_nt2(params)
+            for n in nt1 * np.array([0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 10.0]):
+                # z from the P equation, n_total from the biomass equation
+                z = (params.mu * model.f_uptake(n, params) - params.lam) * p / (params.g * h)
+                nt = n + p + z + gg * z * h * disc
+                res = equilibria.residuals_at(n, p, z, m, nt, params)
+                assert np.max(np.abs(res)) <= 1e-12 * max(1.0, abs(nt))
+                assert (z > 0) == (nt > nt2)
+                pt = BoundaryPoint(n_star=n, p_star=p, z_star=z, m=m, n_total=nt, omega=0.5)
+                assert continuation._in_domain(pt, ceiling, opts) == (nt > nt2)
+
+    def test_traced_dd_loop_lies_above_nt2(self, tmp_path):
+        assert cli.main([
+            "trace-boundary", "--preset", "fig4-l0.159-dd", "--out", str(tmp_path),
+            "--set", "continuation.m_seeds=6.0",
+        ]) == 0
+        params = _preset_params("fig4-l0.159-dd")
+        data = np.genfromtxt(tmp_path / "curves.csv", delimiter=",", names=True)
+        assert data.size > 100
+        for m, nt in zip(data["m"].tolist(), data["n_total"].tolist()):
+            assert nt > equilibria.compute_nt2(replace(params, m=m))
 
 
 class TestFrequencyProfile:
