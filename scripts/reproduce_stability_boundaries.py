@@ -5,7 +5,9 @@ Each preset writes curves.csv plus frequency_profile.csv (the companion
 frequency-versus-maturity data) under its own directory.  The quick set
 covers the constant-response panels and the looping curve of the
 saturating response with juvenile mortality; --full adds the multi-curve
-zero-mortality panels, which seed many frequency windows and take minutes.
+zero-mortality panels, which seed many frequency windows.  Those three take
+about 0.1, 0.9 and 1.8 s, and the whole --full set about 7.5 s (single
+runs on a 2-core Xeon with Python 3.11).
 """
 
 import argparse
@@ -31,6 +33,7 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out", help="output root directory")
     ap.add_argument("--full", action="store_true",
-                    help="also trace the multi-curve zero-mortality panels")
+                    help="also trace the multi-curve zero-mortality panels "
+                         "(about 3 s more)")
     args = ap.parse_args()
     sys.exit(run(args.out, args.full))

@@ -9,7 +9,9 @@ Exit codes: 0 success (including a clean extinction), 1 runtime failure,
 2 invalid configuration, 3 check-suite failure.  ``TDE_PLANKTON_THREADS``
 caps the worker pool that seeds boundary curves, one maturity per job whose
 windows share their root scans; sweeps and traces run in order on the
-calling thread.
+calling thread.  ``trace-boundary`` traces its starts in order of
+(m, n_total, omega) and skips a start that lies on a curve already traced,
+so a locus is traced once, from the first start on it.
 """
 
 from __future__ import annotations
@@ -175,7 +177,10 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
         pts = list(reversed(bwd.points))[:-1] + fwd.points
         return BoundaryCurve(points=pts, termination=fwd.termination), bwd.termination
 
-    traced = list(map(trace_one, unique_starts))
+    traced = []
+    for start in unique_starts:  # a start on a traced curve would re-trace its locus
+        if not any(continuation.lies_on_curve(start, c, params, tr.dedupe_tol) for c, _ in traced):
+            traced.append(trace_one(start))
 
     merged = [c for c, _ in traced]
     back_terms = {id(c): b for (c, b) in traced}

@@ -408,10 +408,18 @@ def _share_near_polyline(q: np.ndarray, line: np.ndarray, tol: float) -> float:
     return float(np.mean(near))
 
 
-def _profile_coords(curve: BoundaryCurve, m_scale: float) -> np.ndarray:
-    return np.array(
-        [[p.m / m_scale, math.log10(p.n_total), p.omega] for p in curve.points]
-    )
+def _profile_coords(points: list[BoundaryPoint], m_scale: float) -> np.ndarray:
+    return np.array([[p.m / m_scale, math.log10(p.n_total), p.omega] for p in points])
+
+
+def lies_on_curve(
+    pt: BoundaryPoint, curve: BoundaryCurve, params: ModelParams, tol: float = 5e-3
+) -> bool:
+    """True when ``pt`` lies within ``tol`` of the polyline through ``curve``,
+    in the coordinates :func:`curves_interleave` compares."""
+    m_scale = _m_scale(params)
+    line = _profile_coords(curve.points, m_scale)
+    return _share_near_polyline(_profile_coords([pt], m_scale), line, tol) == 1.0
 
 
 def curves_interleave(
@@ -428,7 +436,7 @@ def curves_interleave(
     polyline still carries every point of the first.
     """
     m_scale = _m_scale(params)
-    pa, pb = _profile_coords(a, m_scale), _profile_coords(b, m_scale)
+    pa, pb = _profile_coords(a.points, m_scale), _profile_coords(b.points, m_scale)
     return (
         _share_near_polyline(pa, pb, tol) >= fraction
         or _share_near_polyline(pb, pa, tol) >= fraction
@@ -442,9 +450,12 @@ def deduplicate_curves(
 ) -> list[BoundaryCurve]:
     """Drop curves that re-trace an already collected locus.
 
-    Deterministic: curves are considered in order of their starting point
-    and the longest representative of each group is kept (the earliest on a
-    tie); a curve that interleaves with several kept curves merges them.
+    The CLI traces no start that lies on a curve it already holds, so here
+    only partial overlaps remain to merge: curves from distinct starts that
+    run onto one locus.  Deterministic: curves are considered in order of
+    their starting point and the longest representative of each group is
+    kept (the earliest on a tie); a curve that interleaves with several kept
+    curves merges them.
     """
     order = sorted(
         range(len(curves)),

@@ -488,16 +488,6 @@ def _cumulative_maturity(t: np.ndarray, p: np.ndarray, params: ModelParams) -> n
     return np.concatenate(([0.0], np.cumsum(incr)))
 
 
-def _delay_lookup(t: np.ndarray, cum: np.ndarray, t_query: float, s: float) -> float:
-    """Solve the threshold condition for the delayed time t' with
-    maturity(t_query) - maturity(t') = s, by piecewise-linear inversion of
-    the stored integral."""
-    target = float(np.interp(t_query, t, cum)) - s
-    if target < cum[0] - 1e-12:
-        raise OutOfRegionError("threshold reaches past the stored history")
-    return float(np.interp(target, cum, t))
-
-
 def tde_residual(traj: Trajectory, params: ModelParams) -> float:
     """Max scaled defect of the threshold-delay form along the run.
 
@@ -523,43 +513,40 @@ def tde_residual(traj: Trajectory, params: ModelParams) -> float:
     if eligible.size == 0 or eligible[0] >= t_rows.size - 1:
         raise InsufficientHistoryError("run too short to clear the start-up kinks")
 
-    scale = max(1.0, params.n_total)
+    # the lag solves maturity(t) - maturity(t') = m by inverting the stored
+    # integral; nodes whose lag reaches past the stored history are skipped
+    idx = np.arange(max(eligible[0], 1), t_rows.size - 1)
+    target = np.interp(t_rows[idx], t_full, cum) - params.m
+    inside = target >= cum[0] - 1e-12
+    idx, target = idx[inside], target[inside]
+    t_del = np.interp(target, cum, t_full)
+    p_d = np.interp(t_del, t_full, p_full)
+    z_d = np.interp(t_del, t_full, z_full)
+    ni, pi, zi = traj.n[idx], traj.p[idx], traj.z[idx]
+    growth = params.mu * pi * model.f_uptake(ni, params)
+    graze = params.g * zi * model.h_grazing(pi, params)
+    rhs_n = (
+        -growth + params.lam * pi + params.delta * zi
+        + (1 - params.gamma) * graze
+        + params.delta0 * (params.n_total - ni - pi - zi)
+    )
+    rhs_p = growth - params.lam * pi - graze
+    rhs_z = (
+        model.r_growth(pi, params)
+        * np.exp(-params.delta0 * (t_rows[idx] - t_del))
+        * params.gamma * params.g * z_d * model.h_grazing(p_d, params)
+        / model.r_growth(p_d, params)
+        - params.delta * zi
+    )
+    t0, t1, t2 = t_rows[idx - 1], t_rows[idx], t_rows[idx + 1]
+    w0 = (t1 - t2) / ((t0 - t1) * (t0 - t2))
+    w1 = (2 * t1 - t0 - t2) / ((t1 - t0) * (t1 - t2))
+    w2 = (t1 - t0) / ((t2 - t0) * (t2 - t1))
     worst = 0.0
-    for i in range(max(eligible[0], 1), t_rows.size - 1):
-        ti = float(t_rows[i])
-        try:
-            t_del = _delay_lookup(t_full, cum, ti, params.m)
-        except OutOfRegionError:
-            continue
-        p_d = float(np.interp(t_del, t_full, p_full))
-        z_d = float(np.interp(t_del, t_full, z_full))
-        tau = ti - t_del
-        ni, pi, zi = float(traj.n[i]), float(traj.p[i]), float(traj.z[i])
-        f = model.f_uptake(ni, params)
-        h = model.h_grazing(pi, params)
-        growth = params.mu * pi * f
-        graze = params.g * zi * h
-        rhs_n = (
-            -growth + params.lam * pi + params.delta * zi
-            + (1 - params.gamma) * graze
-            + params.delta0 * (params.n_total - ni - pi - zi)
-        )
-        rhs_p = growth - params.lam * pi - graze
-        rhs_z = (
-            model.r_growth(pi, params)
-            * math.exp(-params.delta0 * tau)
-            * params.gamma * params.g * z_d * model.h_grazing(p_d, params)
-            / model.r_growth(p_d, params)
-            - params.delta * zi
-        )
-        t0, t1, t2 = float(t_rows[i - 1]), ti, float(t_rows[i + 1])
-        w0 = (t1 - t2) / ((t0 - t1) * (t0 - t2))
-        w1 = (2 * t1 - t0 - t2) / ((t1 - t0) * (t1 - t2))
-        w2 = (t1 - t0) / ((t2 - t0) * (t2 - t1))
-        for rhs, arr in ((rhs_n, traj.n), (rhs_p, traj.p), (rhs_z, traj.z)):
-            deriv = w0 * arr[i - 1] + w1 * arr[i] + w2 * arr[i + 1]
-            worst = max(worst, abs(deriv - rhs) / scale)
-    return worst
+    for rhs, arr in ((rhs_n, traj.n), (rhs_p, traj.p), (rhs_z, traj.z)):
+        deriv = w0 * arr[idx - 1] + w1 * arr[idx] + w2 * arr[idx + 1]
+        worst = max(worst, float(np.max(np.abs(deriv - rhs), initial=0.0)))
+    return worst / max(1.0, params.n_total)
 
 
 def reconstruct_rho(
@@ -578,19 +565,18 @@ def reconstruct_rho(
     if not t_full[0] <= t <= t_full[-1]:
         raise OutOfRegionError("query time outside the stored run")
     cum = _cumulative_maturity(t_full, p_full, params)
-    out = np.empty(s_grid.size)
-    gg = params.gamma * params.g
-    for j, s in enumerate(s_grid):
-        t_del = _delay_lookup(t_full, cum, float(t), float(s))
-        tau = t - t_del
-        p_d = float(np.interp(t_del, t_full, p_full))
-        z_d = float(np.interp(t_del, t_full, z_full))
-        out[j] = (
-            math.exp(-params.delta0 * tau)
-            * gg * z_d * model.h_grazing(p_d, params)
-            / model.r_growth(p_d, params)
-        )
-    return out
+    target = float(np.interp(t, t_full, cum)) - s_grid
+    if np.any(target < cum[0] - 1e-12):
+        raise OutOfRegionError("threshold reaches past the stored history")
+    t_del = np.interp(target, cum, t_full)
+    p_d = np.interp(t_del, t_full, p_full)
+    z_d = np.interp(t_del, t_full, z_full)
+    # math.exp per element: np.exp can differ from it in the last bit
+    decay = np.array([math.exp(x) for x in (-params.delta0 * (t - t_del)).tolist()])
+    return (
+        decay * (params.gamma * params.g) * z_d * model.h_grazing(p_d, params)
+        / model.r_growth(p_d, params)
+    )
 
 
 def measure_frequency(traj: Trajectory, window_frac: float = 0.5) -> float | None:

@@ -95,6 +95,19 @@ def _preset_params(name):
     return build_config(preset_values(name), None, {}).params
 
 
+def _count_traces(monkeypatch) -> list:
+    """Record the start of every ``continuation.trace_curve`` call."""
+    calls = []
+    trace = continuation.trace_curve
+
+    def counted(start, *args, **kwargs):
+        calls.append(start)
+        return trace(start, *args, **kwargs)
+
+    monkeypatch.setattr(continuation, "trace_curve", counted)
+    return calls
+
+
 def _matrix_linearization(n_star, p_star, z_star, m, params):
     """The matrix construction the closed-form residual replaced, through the
     public model responses."""
@@ -443,14 +456,18 @@ class TestDomainTest:
                 pt = BoundaryPoint(n_star=n, p_star=p, z_star=z, m=m, n_total=nt, omega=0.5)
                 assert continuation._in_domain(pt, ceiling, opts) == (nt > nt2)
 
-    def test_traced_dd_loop_lies_above_nt2(self, tmp_path):
+    def test_traced_dd_loop_lies_above_nt2(self, tmp_path, monkeypatch):
+        # the four preset seeds land on one loop: the first start is traced
+        # both ways and the other three lie on its curve
+        calls = _count_traces(monkeypatch)
         assert cli.main([
             "trace-boundary", "--preset", "fig4-l0.159-dd", "--out", str(tmp_path),
-            "--set", "continuation.m_seeds=6.0",
         ]) == 0
+        assert len(calls) == 2
         params = _preset_params("fig4-l0.159-dd")
         data = np.genfromtxt(tmp_path / "curves.csv", delimiter=",", names=True)
-        assert data.size > 100
+        assert data.size > 100 and set(data["curve_id"].tolist()) == {0.0}
+        assert np.all(data["residual"] <= 1e-9)
         for m, nt in zip(data["m"].tolist(), data["n_total"].tolist()):
             assert nt > equilibria.compute_nt2(replace(params, m=m))
 
@@ -615,6 +632,41 @@ class TestDeduplication:
             for tol in (2e-3, 5e-3, 1e-2):
                 expect = float(np.mean(np.asarray(dists) <= tol))
                 assert continuation._share_near_polyline(q, line, tol) == expect
+
+    def test_start_on_a_traced_curve_lies_on_it(self):
+        params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
+        # leg samples 0.029 apart and bend samples 0.010 apart, both > tol
+        arc = self._bent_arc(params, straight_n=15, bend_n=62)
+        tol = 5e-3
+        m_scale = continuation._m_scale(params)
+
+        def at(m_scaled, log_nt):
+            return BoundaryPoint(n_star=1.0, p_star=1.0, z_star=1.0, m=m_scaled * m_scale,
+                                 n_total=10.0 ** log_nt, omega=0.5)
+
+        # halfway between two samples of the lower leg, and of the bend
+        mid_leg = 0.1 + 5.5 * 0.4 / 14
+        assert continuation.lies_on_curve(at(mid_leg, 0.0), arc, params, tol)
+        assert continuation.lies_on_curve(at(0.7, 0.2), arc, params, tol)
+        # off either leg, or beyond the end of the arc, by more than tol
+        assert not continuation.lies_on_curve(at(mid_leg, -1.5 * tol), arc, params, tol)
+        assert not continuation.lies_on_curve(at(mid_leg, 0.4 + 1.5 * tol), arc, params, tol)
+        assert not continuation.lies_on_curve(at(0.1 - 1.5 * tol, 0.0), arc, params, tol)
+        assert not continuation.lies_on_curve(
+            replace(at(mid_leg, 0.0), omega=0.5 + 1.5 * tol), arc, params, tol
+        )
+
+    def test_distinct_starts_are_all_traced(self, tmp_path, monkeypatch):
+        # the windows at m = 3 and at m = 6 seed one start each, on two
+        # distinct curves
+        calls = _count_traces(monkeypatch)
+        assert cli.main([
+            "trace-boundary", "--preset", "fig4-l0.159-d0", "--out", str(tmp_path),
+            "--set", "continuation.m_seeds=3.0,6.0",
+        ]) == 0
+        assert len(calls) == 4 and len({(s.m, s.n_total, s.omega) for s in calls}) == 2
+        data = np.genfromtxt(tmp_path / "curves.csv", delimiter=",", names=True)
+        assert set(data["curve_id"].tolist()) == {0.0, 1.0}
 
     def test_distinct_curves_kept(self, successive_crossings):
         params, p1, p2 = successive_crossings

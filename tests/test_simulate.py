@@ -21,6 +21,17 @@ def fig6_params(nt=10 ** 0.49):
     )
 
 
+def _lag_loop(traj, params, t_query, s):
+    """Delayed time and the delayed P and Z for one node, one scalar at a time."""
+    t_full, _, p_full, z_full = simulate._full_series(traj)
+    cum = simulate._cumulative_maturity(t_full, p_full, params)
+    target = float(np.interp(t_query, t_full, cum)) - s
+    if target < cum[0] - 1e-12:
+        return None
+    t_del = float(np.interp(target, cum, t_full))
+    return t_del, float(np.interp(t_del, t_full, p_full)), float(np.interp(t_del, t_full, z_full))
+
+
 class TestBuildInitial:
     def test_equilibrium_history_recovers_nutrient_exactly_without_mortality(self):
         # the juvenile integrand is flat when delta0 = 0, so the trapezoid
@@ -392,6 +403,35 @@ class TestTdeResidual:
         gap_z = np.max(np.abs(traj.z - oracle[:, 1]))
         assert max(gap_p, gap_z) <= 1e-6
 
+    def test_matches_a_node_by_node_loop(self):
+        p = fig6_params()
+        big_t = p.m / p.r_star
+        buf = simulate.build_initial(HistorySpec.at_equilibrium(1e-2, -1e-2), p, big_t / 200)
+        traj = simulate.to_physical_time(simulate.integrate(buf, p, 35.0), p)
+        t, worst = traj.t, 0.0
+        first = int(np.argmax(traj.t_hat >= 2.0 * big_t + 2.0 * traj.dt_hat))
+        for i in range(first, t.size - 1):
+            t_del, p_d, z_d = _lag_loop(traj, p, float(t[i]), p.m)
+            n, ph, z = float(traj.n[i]), float(traj.p[i]), float(traj.z[i])
+            growth = p.mu * ph * model.f_uptake(n, p)
+            graze = p.g * z * model.h_grazing(ph, p)
+            rhs = (
+                -growth + p.lam * ph + p.delta * z + (1 - p.gamma) * graze
+                + p.delta0 * (p.n_total - n - ph - z),
+                growth - p.lam * ph - graze,
+                model.r_growth(ph, p) * math.exp(-p.delta0 * (t[i] - t_del)) * p.gamma * p.g
+                * z_d * model.h_grazing(p_d, p) / model.r_growth(p_d, p) - p.delta * z,
+            )
+            w = (
+                (t[i] - t[i + 1]) / ((t[i - 1] - t[i]) * (t[i - 1] - t[i + 1])),
+                (2 * t[i] - t[i - 1] - t[i + 1]) / ((t[i] - t[i - 1]) * (t[i] - t[i + 1])),
+                (t[i] - t[i - 1]) / ((t[i + 1] - t[i - 1]) * (t[i + 1] - t[i])),
+            )
+            for f, arr in zip(rhs, (traj.n, traj.p, traj.z)):
+                deriv = w[0] * arr[i - 1] + w[1] * arr[i] + w[2] * arr[i + 1]
+                worst = max(worst, abs(deriv - f) / max(1.0, p.n_total))
+        assert simulate.tde_residual(traj, p) == pytest.approx(worst, rel=1e-14)
+
     def test_short_run_rejected(self):
         p = fig6_params()
         big_t = p.m / p.r_star
@@ -412,6 +452,20 @@ class TestReconstructRho:
         rho = simulate.reconstruct_rho(traj, float(traj.t[-1]), s, p)
         expect = equilibria.equilibrium_spectrum(e2, s, p)
         assert np.max(np.abs(rho - expect) / expect) <= 1e-6
+
+    def test_matches_a_node_by_node_loop(self):
+        p = fig6_params()
+        big_t = p.m / p.r_star
+        buf = simulate.build_initial(HistorySpec.at_equilibrium(2e-2, -2e-2), p, big_t / 200)
+        traj = simulate.to_physical_time(simulate.integrate(buf, p, 40.0), p)
+        t_q = 0.7 * float(traj.t[-1])
+        s = np.linspace(0.0, p.m, 201)
+        expect = []
+        for s_j in s.tolist():
+            t_del, p_d, z_d = _lag_loop(traj, p, t_q, s_j)
+            expect.append(math.exp(-p.delta0 * (t_q - t_del)) * (p.gamma * p.g) * z_d
+                          * model.h_grazing(p_d, p) / model.r_growth(p_d, p))
+        assert simulate.reconstruct_rho(traj, t_q, s, p).tolist() == expect
 
     def test_zero_without_grazers(self):
         p = equilibria.resolve_r_star(
