@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -151,34 +151,26 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
             return None
 
     def seed_m(m):
-        lins: dict = {}  # this maturity's windows bisect the same bracket
+        lins: dict = {}  # this maturity's windows solve in the same bracket
         return [seed_one(m, w, lins) for w in windows]
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         starts = [s for group in pool.map(seed_m, m_seeds) for s in group if s is not None]
 
-    unique_starts = []
-    seen = set()
-    for s in sorted(starts, key=lambda b: (b.m, b.n_total, b.omega)):
-        key = (round(s.m, 9), round(math.log10(s.n_total), 9), round(s.omega, 9))
-        if key not in seen:
-            seen.add(key)
-            unique_starts.append(s)
-
-    opts_common = dict(
-        h_init=tr.h_init, h_min=tr.h_min, h_max=tr.h_max,
-        corrector_tol=tr.corrector_tol, max_steps=tr.max_steps,
-        nt_min=tr.nt_min, nt_max=tr.nt_max, m_min=tr.m_min, m_max=m_max,
-    )
+    # the stepping options TraceSettings shares with TraceOptions, by name
+    stepping = {f.name: getattr(tr, f.name) for f in fields(TraceOptions) if hasattr(tr, f.name)}
+    forward = TraceOptions(**stepping | {"m_max": m_max})
+    backward = replace(forward, orientation=-1)
 
     def trace_one(start):
-        fwd = continuation.trace_curve(start, params, TraceOptions(orientation=1, **opts_common))
-        bwd = continuation.trace_curve(start, params, TraceOptions(orientation=-1, **opts_common))
+        fwd = continuation.trace_curve(start, params, forward)
+        bwd = continuation.trace_curve(start, params, backward)
         pts = list(reversed(bwd.points))[:-1] + fwd.points
         return BoundaryCurve(points=pts, termination=fwd.termination), bwd.termination
 
     traced = []
-    for start in unique_starts:  # a start on a traced curve would re-trace its locus
+    # a start on a traced curve (an equal start too) would re-trace its locus
+    for start in sorted(starts, key=lambda b: (b.m, b.n_total, b.omega)):
         if not any(continuation.lies_on_curve(start, c, params, tr.dedupe_tol) for c, _ in traced):
             traced.append(trace_one(start))
 
@@ -234,11 +226,9 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     params = equilibria.resolve_r_star(cfg.params)
     sim_cfg = cfg.sim
-    if params.m > 0:
-        big_t = params.m / params.r_star
-        dt_hat = sim_cfg.dt_hat if sim_cfg.dt_hat else big_t / sim_cfg.dt_panels
-    else:
-        dt_hat = sim_cfg.dt_hat if sim_cfg.dt_hat else 0.01
+    # auto: dt_panels steps per delay T = m / r_star, or 0.01 without a delay
+    auto_dt = params.m / params.r_star / sim_cfg.dt_panels if params.m > 0 else 0.01
+    dt_hat = sim_cfg.dt_hat or auto_dt
 
     if sim_cfg.history == "equilibrium":
         spec = simulate.HistorySpec.at_equilibrium(

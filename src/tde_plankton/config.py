@@ -11,6 +11,7 @@ artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .exceptions import ConfigError, ParamError
 from .model import ModelParams
@@ -34,8 +35,22 @@ def _parse_windows(s: str) -> str | tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-#: key -> (parser, default-as-string or None for "derived")
-SCHEMA: dict[str, tuple] = {
+def _or_none(sentinel: str, parse: Callable = float) -> Callable:
+    """Parse with ``parse``, reading ``sentinel`` as None."""
+    return lambda s: None if s == sentinel else parse(s)
+
+
+def _choice(*names: str) -> Callable[[str], str]:
+    def parse(s: str) -> str:
+        if s not in names:
+            raise ValueError(f"must be {' or '.join(names)}")
+        return s
+    return parse
+
+
+#: key -> (parser, default as a string); a key's section and name pick the
+#: settings object and field it fills (see build_config)
+SCHEMA: dict[str, tuple[Callable, str]] = {
     "model.mu": (float, "5.9"),
     "model.lambda": (float, "0.017"),
     "model.g": (float, "7.0"),
@@ -44,27 +59,27 @@ SCHEMA: dict[str, tuple] = {
     "model.delta0": (float, "0.0"),
     "model.k": (float, "1.0"),
     "model.kk": (float, "1.0"),
-    "model.response": (str, "michaelis"),
+    "model.response": (_choice("michaelis", "constant"), "michaelis"),
     "model.l": (float, "0.159"),
     "model.m": (float, "0.0"),
     "model.n_total": (float, "1.0"),
-    "model.r_star": (str, "auto"),
+    "model.r_star": (_or_none("auto"), "auto"),
     "run.dt_panels": (int, "200"),
-    "run.dt_hat": (str, "auto"),
+    "run.dt_hat": (_or_none("auto"), "auto"),
     "run.horizon_hat": (float, "400.0"),
-    "run.history": (str, "equilibrium"),
+    "run.history": (_choice("equilibrium", "constant"), "equilibrium"),
     "run.eps_p": (float, "1e-3"),
     "run.eps_z": (float, "1e-3"),
-    "run.p0": (str, "none"),
-    "run.z0": (str, "none"),
+    "run.p0": (_or_none("none"), "none"),
+    "run.z0": (_or_none("none"), "none"),
     "run.n0_offset": (float, "0.0"),
     "run.rho_times": (_parse_float_list, ""),
     "run.rho_s_panels": (int, "400"),
     "equilibria.nt_min": (float, "1e-4"),
     "equilibria.nt_max": (float, "1e2"),
     "equilibria.nt_points": (int, "400"),
-    "equilibria.m_list": (str, "model"),
-    "continuation.m_seeds": (str, "model"),
+    "equilibria.m_list": (_or_none("model", _parse_float_list), "model"),
+    "continuation.m_seeds": (_or_none("model", _parse_float_list), "model"),
     "continuation.nt_min": (float, "1e-4"),
     "continuation.nt_max": (float, "1e2"),
     "continuation.m_min": (float, "0.0"),
@@ -148,17 +163,6 @@ class RunConfig:
     resolved: dict[str, str]
 
 
-def _typed(values: dict[str, str]) -> dict[str, object]:
-    typed: dict[str, object] = {}
-    for key, raw in values.items():
-        parser, _ = SCHEMA[key]
-        try:
-            typed[key] = parser(raw)
-        except (ValueError, ConfigError) as err:
-            raise ConfigError(f"bad value for {key}: {raw!r} ({err})") from err
-    return typed
-
-
 def build_config(
     preset_values: dict[str, str] | None = None,
     file_values: dict[str, str] | None = None,
@@ -167,88 +171,48 @@ def build_config(
     """Overlay defaults, preset, file, and flag overrides into a RunConfig."""
     values = {k: d for k, (_, d) in SCHEMA.items()}
     for layer in (preset_values, file_values, overrides):
-        if not layer:
-            continue
-        for key, raw in layer.items():
+        for key, raw in (layer or {}).items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
             values[key] = raw
-    typed = _typed(values)
 
-    response = typed["model.response"]
-    if response not in ("michaelis", "constant"):
-        raise ConfigError(f"model.response must be michaelis or constant, got {response!r}")
-    r_star_raw = str(typed["model.r_star"])
+    sections: dict[str, dict] = {}
+    for key, raw in values.items():
+        section, name = key.split(".")
+        try:
+            sections.setdefault(section, {})[name] = SCHEMA[key][0](raw)
+        except ValueError as err:
+            raise ConfigError(f"bad value for {key}: {raw!r} ({err})") from err
+    model, run = sections["model"], sections["run"]
+    sweep, trace = sections["equilibria"], sections["continuation"]
+
+    model["lam"] = model.pop("lambda")
+    if model.pop("response") == "constant":
+        model["l"] = None
     try:
-        params = ModelParams(
-            mu=typed["model.mu"],
-            lam=typed["model.lambda"],
-            g=typed["model.g"],
-            gamma=typed["model.gamma"],
-            delta=typed["model.delta"],
-            delta0=typed["model.delta0"],
-            k=typed["model.k"],
-            kk=typed["model.kk"],
-            l=typed["model.l"] if response == "michaelis" else None,
-            m=typed["model.m"],
-            n_total=typed["model.n_total"],
-            r_star=None if r_star_raw == "auto" else float(r_star_raw),
-        )
+        params = ModelParams(**model)
     except ParamError as err:
         raise ConfigError(str(err)) from err
+    if sweep["m_list"] is None:
+        sweep["m_list"] = (params.m,)
+    if trace["m_seeds"] is None:
+        trace["m_seeds"] = (params.m,)
 
-    def opt_float(key: str) -> float | None:
-        raw = str(typed[key])
-        return None if raw == "none" else float(raw)
-
-    dt_raw = str(typed["run.dt_hat"])
-    sim = SimSettings(
-        dt_hat=None if dt_raw == "auto" else float(dt_raw),
-        dt_panels=typed["run.dt_panels"],
-        horizon_hat=typed["run.horizon_hat"],
-        history=typed["run.history"],
-        eps_p=typed["run.eps_p"],
-        eps_z=typed["run.eps_z"],
-        p0=opt_float("run.p0"),
-        z0=opt_float("run.z0"),
-        n0_offset=typed["run.n0_offset"],
-        rho_times=typed["run.rho_times"],
-        rho_s_panels=typed["run.rho_s_panels"],
-    )
-    if sim.history not in ("equilibrium", "constant"):
-        raise ConfigError(f"run.history must be equilibrium or constant, got {sim.history!r}")
-    if sim.dt_panels < 2:
+    if run["dt_hat"] is not None and not run["dt_hat"] > 0:
+        raise ConfigError(f"run.dt_hat must be positive or auto, got {values['run.dt_hat']!r}")
+    if run["dt_panels"] < 2:
         raise ConfigError("run.dt_panels must be at least 2")
-
-    m_list_raw = str(typed["equilibria.m_list"])
-    m_list = (params.m,) if m_list_raw == "model" else _parse_float_list(m_list_raw)
-    sweep = SweepSettings(
-        nt_min=typed["equilibria.nt_min"],
-        nt_max=typed["equilibria.nt_max"],
-        nt_points=typed["equilibria.nt_points"],
-        m_list=m_list,
-    )
-    if not 0 < sweep.nt_min < sweep.nt_max:
+    if not 0 < sweep["nt_min"] < sweep["nt_max"]:
         raise ConfigError("equilibria biomass range must satisfy 0 < nt_min < nt_max")
-
-    seeds_raw = str(typed["continuation.m_seeds"])
-    m_seeds = (params.m,) if seeds_raw == "model" else _parse_float_list(seeds_raw)
-    trace = TraceSettings(
-        m_seeds=m_seeds,
-        nt_min=typed["continuation.nt_min"],
-        nt_max=typed["continuation.nt_max"],
-        m_min=typed["continuation.m_min"],
-        m_max=typed["continuation.m_max"],
-        omega_windows=typed["continuation.omega_windows"],
-        h_init=typed["continuation.h_init"],
-        h_min=typed["continuation.h_min"],
-        h_max=typed["continuation.h_max"],
-        corrector_tol=typed["continuation.corrector_tol"],
-        max_steps=typed["continuation.max_steps"],
-        grid_n=typed["continuation.grid_n"],
-        dedupe_tol=typed["continuation.dedupe_tol"],
-    )
-    if not 0 < trace.nt_min < trace.nt_max:
+    if not 0 < trace["nt_min"] < trace["nt_max"]:
         raise ConfigError("continuation biomass range must satisfy 0 < nt_min < nt_max")
+    if trace["grid_n"] < 64:
+        raise ConfigError(f"continuation.grid_n must be at least 64, got {trace['grid_n']}")
 
-    return RunConfig(params=params, sim=sim, sweep=sweep, trace=trace, resolved=dict(values))
+    return RunConfig(
+        params=params,
+        sim=SimSettings(**run),
+        sweep=SweepSettings(**sweep),
+        trace=TraceSettings(**trace),
+        resolved=values,
+    )

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import equilibria, linearize
 from .exceptions import (
@@ -247,11 +248,12 @@ def find_start(
     bisect_rtol: float = 1e-3,
     lins: dict | None = None,
 ) -> BoundaryPoint:
-    """Locate one boundary point at fixed maturity by bisecting total biomass.
+    """Locate one boundary point at fixed maturity by a root solve in total biomass.
 
-    Bisects on the sign of the (optionally frequency-windowed) rightmost real
-    part, then polishes the remaining five unknowns with the stepping
-    corrector, its arclength row pinning m; any failure is a NoConvergeError.
+    Brent's method finds where the (optionally frequency-windowed) rightmost
+    real part crosses zero, to ``bisect_rtol`` relative; the stepping
+    corrector then polishes the remaining five unknowns, its arclength row
+    pinning m.  Any failure is a NoConvergeError.
     ``lins`` maps (m, n_total) to the equilibrium and linearization there;
     calls with the same ``params`` sharing one dict reuse each other's scans.
     """
@@ -272,27 +274,25 @@ def find_start(
             return linearize.rightmost_real_part(lin, grid_n=grid_n)
         return linearize.rightmost_in_window(lin, omega_window, grid_n=grid_n)
 
+    def inner_signal(nt: float) -> float:
+        f = signal(nt)
+        if f is None:
+            raise NoSignChangeError("frequency window lost the root inside the bracket")
+        return f
+
     lo, hi = nt_bracket
     f_lo, f_hi = signal(lo), signal(hi)
     if f_lo is None or f_hi is None or f_lo * f_hi > 0:
         raise NoSignChangeError(
             f"no stability flip over n_total in ({lo:g}, {hi:g}) at m={m_fixed:g}"
         )
-    while hi - lo > bisect_rtol * lo:
-        mid = 0.5 * (lo + hi)
-        f_mid = signal(mid)
-        if f_mid is None:
-            raise NoSignChangeError("frequency window lost the root during bisection")
-        if f_mid * f_lo < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    nt_mid = 0.5 * (lo + hi)
+    # the relative width alone ends the solve
+    nt_mid = brentq(inner_signal, lo, hi, xtol=1e-300, rtol=bisect_rtol)
 
     eq, lin = linearized(nt_mid)
     s_near = linearize._rightmost_root(lin, omega_window, None, grid_n)
     if s_near is None:
-        raise NoConvergeError("no candidate root near the bisected crossing")
+        raise NoConvergeError("no candidate root near the solved crossing")
     omega0 = abs(s_near.imag)
     if omega0 < OMEGA_FLOOR:
         raise NoConvergeError("crossing root has no oscillatory part (not a boundary point)")

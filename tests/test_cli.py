@@ -1,14 +1,17 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tde_plankton import checks, cli, continuation
 from tde_plankton.checks import CheckHooks
-from tde_plankton.config import build_config, dump_flat, parse_flat_text
+from tde_plankton.config import SCHEMA, build_config, dump_flat, parse_flat_text
 from tde_plankton.exceptions import ConfigError
 from tde_plankton.model import ModelParams
+from tde_plankton.presets import PRESETS
 
 
 def run_cli(args):
@@ -20,6 +23,10 @@ class TestConfig:
         cfg = build_config()
         assert cfg.params.mu == 5.9
         assert cfg.sim.dt_panels == 200
+        # sentinels: auto and none read as None, model as (model.m,)
+        assert cfg.params.r_star is None and cfg.sim.dt_hat is None
+        assert cfg.sim.p0 is None and cfg.sim.z0 is None
+        assert cfg.sweep.m_list == (0.0,) and cfg.trace.m_seeds == (0.0,)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -48,6 +55,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config(overrides={"model.lambda": "7.0"})
 
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    def test_malformed_value_rejected(self, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build_config(overrides={key: "abc"})
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_resolved_config_rebuilds_the_same_run(self, name):
+        cfg = build_config(PRESETS[name])
+        again = build_config(file_values=parse_flat_text(dump_flat(cfg.resolved)))
+        assert again == cfg
+
+    def test_readme_names_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration keys", 1)[1].split("\n## ", 1)[0]
+        # `name`, `name = choices` or `a/b`, each in backticks
+        named = {n.strip() for span in re.findall(r"`([^`]*)`", section)
+                 for n in span.split("=")[0].split("/")}
+        missing = [k for k in SCHEMA if k.split(".", 1)[1] not in named]
+        assert not missing
+
 
 class TestExitCodes:
     def test_invalid_param_exits_2(self, tmp_path, capsys):
@@ -65,6 +92,14 @@ class TestExitCodes:
 
     def test_malformed_set_exits_2(self, tmp_path):
         assert run_cli(["check", "--out", str(tmp_path), "--set", "model.mu"]) == 2
+
+    @pytest.mark.parametrize("item", [
+        "model.r_star=abc", "run.dt_hat=0", "run.dt_hat=-0.5", "continuation.grid_n=8",
+    ])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, item):
+        assert run_cli(["check", "--out", str(tmp_path), "--set", item]) == 2
+        assert item.split("=")[0] in capsys.readouterr().err
+        assert not tmp_path.joinpath("report.jsonl").exists()
 
     def test_infeasible_history_exits_2(self, tmp_path):
         code = run_cli([

@@ -267,8 +267,16 @@ class TestFindStart:
         with pytest.raises(NoSignChangeError):
             continuation.find_start(params, 6.0, (0.5, 1.5))
 
+    def test_window_losing_the_root_inside_the_bracket_raises(self, monkeypatch):
+        # the end verdicts flip sign, then the window holds no root
+        params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
+        verdicts = iter([-0.1, 0.1])
+        monkeypatch.setattr(linearize, "rightmost_in_window", lambda *a, **k: next(verdicts, None))
+        with pytest.raises(NoSignChangeError, match="lost the root"):
+            continuation.find_start(params, 6.0, (1.0, 10.0), omega_window=(0.1, 1.0))
+
     def test_shared_linearizations_give_the_same_starts(self, monkeypatch):
-        # fig4-l0.159-d0 at m = 3: the ten auto windows bisect one bracket
+        # fig4-l0.159-d0 at m = 3: the ten auto windows solve in one bracket
         params = _preset_params("fig4-l0.159-d0")
         tr = build_config(preset_values("fig4-l0.159-d0"), None, {}).trace
         nt2 = equilibria.compute_nt2(replace(params, m=3.0))
