@@ -18,9 +18,10 @@ row's entries times their cofactor polynomials (so its rounding error stays
 in step with the row norms of the Hadamard yardstick) and with an exact
 derivative; its entries come from one float-only kernel, :func:`char_point`.
 Root location is grid-seeded damped-free Newton iteration on that
-derivative, each scan kept on its linearization; the verdict helper returns
-the largest real part found, which backs every stability claim made
-elsewhere in the package.
+derivative, each pass over the working set of seeds still moving (a seed
+stops once its step is zero or non-finite), each scan kept on its
+linearization; the verdict helper returns the largest real part found,
+which backs every stability claim made elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -189,10 +190,11 @@ def _delay_terms(s: np.ndarray, big_t: float) -> tuple[np.ndarray, np.ndarray, n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         small = np.abs(s) * big_t < SERIES_SWITCH
         e = np.exp(-s * big_t)
-        kern = np.where(small, big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0,
-                        (1.0 - e) / s)
-        dkern = np.where(small, -big_t**2 / 2.0 + s * big_t**3 / 3.0,
-                         (big_t * e - kern) / s)
+        kern = (1.0 - e) / s
+        dkern = (big_t * e - kern) / s
+        if small.any():
+            kern = np.where(small, big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0, kern)
+            dkern = np.where(small, -big_t**2 / 2.0 + s * big_t**3 / 3.0, dkern)
     return e, kern, dkern
 
 
@@ -283,22 +285,28 @@ def _newton_batch(
     tol: float = 1e-10,
     max_iter: int = 50,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Damped-free Newton on char_fn from every seed at once.
+    """Damped-free Newton on char_fn from every finite seed at once.
 
     One fused pass per iteration gives char_fn, its exact derivative and the
-    scale.  Returns (iterates, converged mask).
+    scale on the working set, the seeds that moved on the last iteration.  A
+    seed whose step is zero or non-finite (converged, non-finite f, df = 0)
+    leaves it and keeps its iterate: every later pass would give it the same
+    step, as the pass is elementwise.  Stops when no seed moves.  Returns
+    (iterates, converged mask).
     """
     s = np.asarray(seeds, dtype=complex).copy()
-    alive = np.isfinite(s)
+    moving = np.flatnonzero(np.isfinite(s))
     for _ in range(max_iter):
-        f, df, scale = _char_newton(s, lin)
-        active = alive & ~(np.abs(f) <= tol * np.maximum(scale, 1e-300)) & np.isfinite(f)
+        x = s[moving]
+        f, df, scale = _char_newton(x, lin)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = np.where(active & (df != 0), f / df, 0.0)
-        step = np.where(np.isfinite(step), step, 0.0)
-        if not np.any(step):
+            step = f / df
+        go = (~(np.abs(f) <= tol * np.maximum(scale, 1e-300)) & np.isfinite(f) & (df != 0)
+              & np.isfinite(step) & (step != 0))
+        if not go.any():
             break
-        s = s - step
+        moving = moving[go]
+        s[moving] = x[go] - step[go]
     f = char_fn(s, lin)
     ok = (
         np.isfinite(s)

@@ -446,6 +446,128 @@ class TestScanReuse:
         assert np.array_equal(again.roots, first.roots)
 
 
+def full_array_newton(seeds, lin, *, tol=1e-10, max_iter=50):
+    """Reference sweep: every seed goes through every fused pass, a stopped
+    seed taking a zero step, until no seed moves."""
+    s = np.asarray(seeds, dtype=complex).copy()
+    alive = np.isfinite(s)
+    for _ in range(max_iter):
+        f, df, scale = linearize._char_newton(s, lin)
+        active = alive & ~(np.abs(f) <= tol * np.maximum(scale, 1e-300)) & np.isfinite(f)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.where(active & (df != 0), f / df, 0.0)
+        step = np.where(np.isfinite(step), step, 0.0)
+        if not np.any(step):
+            break
+        s = s - step
+    f = linearize.char_fn(s, lin)
+    ok = (np.isfinite(s) & np.isfinite(f)
+          & (np.abs(f) <= tol * np.maximum(linearize.char_scale(s, lin), 1e-300)))
+    return s, ok
+
+
+def scan_seeds(lin, grid_n):
+    """The seed array scan_roots sweeps with the default omega_max."""
+    omega_max = linearize.default_omega_max(lin)
+    return np.concatenate([1j * np.linspace(0.0, omega_max, grid_n),
+                           np.linspace(-omega_max, 0.25 * omega_max, max(grid_n // 8, 17))])
+
+
+@st.composite
+def sweep_lin(draw):
+    """A linearization at E2 or E1, either response, delta0 0 or 0.17,
+    m from 0.5 up to 19 (or just below the maturity ceiling)."""
+    delta0 = draw(st.sampled_from([0.0, 0.17]))
+    l = draw(st.sampled_from([None, 0.159]))
+    base = ModelParams(delta0=delta0, l=l, n_total=1.0)
+    m_hi = min(0.98 * equilibria.m_ceiling(base), 19.0)
+    m = 0.5 + draw(st.floats(0.0, 1.0)) * (m_hi - 0.5)
+    base = dataclasses.replace(base, m=m)
+    nt2 = equilibria.compute_nt2(base)
+    if draw(st.booleans()):
+        p = dataclasses.replace(base, n_total=nt2 * 10 ** draw(st.floats(0.02, 1.2)))
+        return linearize.build_linearization(equilibria.solve_e2(p), p)
+    nt1 = equilibria.compute_nt1(base)
+    p = dataclasses.replace(base, n_total=nt1 + draw(st.floats(0.05, 0.95)) * (nt2 - nt1))
+    return linearize.build_linearization(equilibria.solve_e1(p), p)
+
+
+def odd_seeds(lin):
+    """The origin, both sides of the series circle, non-finite and repeated
+    seeds, and far-field seeds where exp(-s*T) overflows."""
+    r = linearize.SERIES_SWITCH / lin.t_delay
+    return np.array([0j, 0.999 * r, 1.001j * r, -0.999 * r * (1 - 1j) / math.sqrt(2),
+                     1.001 * r * (1 + 1j) / math.sqrt(2), complex(math.nan, 0.0),
+                     complex(math.inf, 1.0), complex(1.0, -math.inf),
+                     complex(math.nan, math.nan), 0.3 + 0.4j, 0.3 + 0.4j, 0j,
+                     -1e5 + 0.3j, -5e3, 1e4j])
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.asarray(got).view(float), np.asarray(want).view(float),
+                          equal_nan=True)
+
+
+class TestNewtonSweepCompaction:
+    """_newton_batch drops a seed once its step is zero or non-finite; the
+    full-array sweep it replaced is the reference, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lin=sweep_lin(), grid_n=st.sampled_from([64, 256, 512]))
+    def test_matches_the_full_array_sweep(self, lin, grid_n):
+        seeds = np.concatenate([scan_seeds(lin, grid_n), odd_seeds(lin)])
+        got, ok = linearize._newton_batch(seeds, lin)
+        want, want_ok = full_array_newton(seeds, lin)
+        assert_bitwise_equal(got, want)
+        assert np.array_equal(ok, want_ok)
+        # coverage counts the scan's own seeds
+        _, scan_ok = full_array_newton(scan_seeds(lin, grid_n), lin)
+        assert linearize.scan_roots(lin, grid_n=grid_n).coverage == float(np.mean(scan_ok))
+
+    @settings(max_examples=40, deadline=None)
+    @given(lin=sweep_lin(), max_iter=st.integers(0, 6))
+    def test_an_early_stop_keeps_every_iterate(self, lin, max_iter):
+        seeds = np.concatenate([scan_seeds(lin, 64), odd_seeds(lin)])
+        got, ok = linearize._newton_batch(seeds, lin, max_iter=max_iter)
+        want, want_ok = full_array_newton(seeds, lin, max_iter=max_iter)
+        assert_bitwise_equal(got, want)
+        assert np.array_equal(ok, want_ok)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lin=sweep_lin())
+    def test_refine_root_matches_the_full_array_sweep(self, lin):
+        for seed in [*odd_seeds(lin)[[0, 1, 2, 9, 12]], *scan_seeds(lin, 64)[::9]]:
+            want, want_ok = full_array_newton(np.array([seed]), lin)
+            if want_ok[0]:
+                assert_bitwise_equal(np.array([linearize.refine_root(seed, lin)]), want)
+            else:
+                with pytest.raises(NoConvergeError):
+                    linearize.refine_root(seed, lin)
+
+
+class TestElementIndependence:
+    """The working set rests on this: a pass over any subset of seeds gives,
+    bit for bit, that subset of the pass over the whole array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lin=sweep_lin(), size=st.integers(1, 576), pick=st.integers(0, 2**32 - 1))
+    def test_subset_pass_equals_the_whole_pass_subset(self, lin, size, pick):
+        rng = np.random.default_rng(pick)
+        pool = np.concatenate([scan_seeds(lin, 512), odd_seeds(lin)])
+        s = rng.choice(pool, size) + rng.choice([0.0, 1e-3, 1.0], size) * (
+            rng.normal(size=size) + 1j * rng.normal(size=size))
+        s[rng.random(size) < 0.05] = 0j
+        s[rng.random(size) < 0.05] = -1e5 + 0.3j  # exp(-s*T) overflows
+        keep = rng.random(size) < rng.uniform(0.0, 1.0)
+        for whole, part in zip(linearize._char_newton(s, lin),
+                               linearize._char_newton(s[keep], lin)):
+            assert_bitwise_equal(part, whole[keep])
+        for whole, part in zip(linearize._delay_terms(s, lin.t_delay),
+                               linearize._delay_terms(s[keep], lin.t_delay)):
+            assert_bitwise_equal(part, whole[keep])
+
+
 class TestTauFrechet:
     def test_zero_perturbation(self, table1):
         p = table1(delta0=0.17, m=6.0, n_total=1.0)
