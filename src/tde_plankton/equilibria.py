@@ -15,15 +15,18 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import model
-from ._roots import bracketed_root, expand_bracket_up
-from .exceptions import DomainError, NoCoexistenceError, NotExistError
+from .exceptions import DomainError, NoCoexistenceError, NoSignChangeError, NotExistError
 from .model import ModelParams, R_INFINITY
 
 #: Relative closeness to a threshold at which a sweep point is tagged
 #: degenerate instead of being assigned to a side.
 DEGENERACY_RTOL = 1e-12
+
+#: Relative width at which Brent's method stops: the tightest scipy accepts.
+BRENT_RTOL = 4 * np.finfo(float).eps
 
 
 class EquilibriumKind(Enum):
@@ -83,19 +86,13 @@ def _maturity_residual(p: float, params: ModelParams) -> float:
     )
 
 
-def _maturity_residual_prime(p: float, params: ModelParams) -> float:
-    h = model.h_grazing(p, params)
-    return model.r_growth_prime(p, params) * math.log(
-        params.gamma * params.g * h / params.delta
-    ) + model.r_growth(p, params) * model.h_grazing_prime(p, params) / h
-
-
 def solve_p2star(params: ModelParams) -> float:
     """Coexistence phytoplankton level for the given maturity requirement.
 
     Closed form kk*r/(1-r) with r = delta/(gamma*g) when m = 0 or when
     juveniles do not die (delta0 = 0); otherwise the unique root of the
-    maturity condition, found by bracketed bisection plus a Newton polish.
+    maturity condition, found by Brent's method on a bracket whose upper end
+    doubles until the residual changes sign.
     """
     p_base = float(model.h_inverse(params.delta / (params.gamma * params.g), params))
     if params.m == 0.0 or params.delta0 == 0.0:
@@ -108,13 +105,13 @@ def solve_p2star(params: ModelParams) -> float:
     if _maturity_residual(lo, params) >= 0.0:
         # delta0*m so small the root sits within 1e-12 of the grazing threshold
         return lo
-    lo, hi = expand_bracket_up(lambda p: _maturity_residual(p, params), lo, 2.0 * lo)
-    return bracketed_root(
-        lambda p: _maturity_residual(p, params),
-        lambda p: _maturity_residual_prime(p, params),
-        lo,
-        hi,
-    )
+    hi = 2.0 * lo
+    for _ in range(200):
+        if _maturity_residual(hi, params) > 0.0:
+            return brentq(_maturity_residual, lo, hi, args=(params,), xtol=1e-300,
+                          rtol=BRENT_RTOL)
+        hi *= 2.0
+    raise NoSignChangeError(f"no sign change up to hi={hi:g}")
 
 
 def compute_nt2(params: ModelParams) -> float:
@@ -232,12 +229,7 @@ def solve_e2(params: ModelParams) -> EquilibriumPoint:
     def balance(n: float) -> float:
         return n + p2 + _z_from_n(n, p2, params) * boost - params.n_total
 
-    def balance_prime(n: float) -> float:
-        return 1.0 + params.mu * model.f_uptake_prime(n, params) * p2 / (
-            params.g * h2
-        ) * boost
-
-    n_star = bracketed_root(balance, balance_prime, nt1, params.n_total)
+    n_star = brentq(balance, nt1, params.n_total, xtol=1e-300, rtol=BRENT_RTOL)
     z_star = _z_from_n(n_star, p2, params)
     res = float(np.max(np.abs(equilibrium_residuals(n_star, p2, z_star, params))))
     return EquilibriumPoint(

@@ -20,8 +20,12 @@ derivative; its entries come from one float-only kernel, :func:`char_point`.
 Root location is grid-seeded damped-free Newton iteration on that
 derivative, each pass over the working set of seeds still moving (a seed
 stops once its step is zero or non-finite), each scan kept on its
-linearization; the verdict helper returns the largest real part found,
-which backs every stability claim made elsewhere in the package.
+linearization.  An iterate is a root where |char_fn| <= tol*B with B finite:
+B is the Hadamard bound with each zooplankton-row entry taken as the sum of
+its terms' magnitudes, which stays away from zero where that row's delay
+factor vanishes (at the phytoplankton-only state the row is (0, 0, x2)).
+The verdict helper returns the largest real part found, which backs every
+stability claim made elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -262,6 +266,17 @@ def char_scale(s, lin: LinearizationData | CharPoint):
     return _evaluate(s, lin, _scale, math.nan)
 
 
+def _bound(s, e, kern, form: CharForm):
+    """The Hadamard bound with each zooplankton-row entry replaced by the sum
+    of its terms' magnitudes, which does not vanish with the delay factor."""
+    a20, a21, a22, b20, b21, b22, c20, c21, c22 = form.bottom
+    ae, ak = abs(e), abs(kern)
+    row = (abs(a20) + abs(b20) * ae + abs(c20) * ak,
+           abs(a21) + abs(b21) * ae + abs(c21) * ak,
+           abs(a22) + abs(b22) * ae + abs(c22) * ak + abs(s))
+    return _hadamard(s, row, form)
+
+
 def _char_newton(s: np.ndarray, lin: LinearizationData):
     """char_fn, its exact derivative and char_scale at an array of points, in one pass."""
     form = lin.char_form
@@ -291,8 +306,9 @@ def _newton_batch(
     scale on the working set, the seeds that moved on the last iteration.  A
     seed whose step is zero or non-finite (converged, non-finite f, df = 0)
     leaves it and keeps its iterate: every later pass would give it the same
-    step, as the pass is elementwise.  Stops when no seed moves.  Returns
-    (iterates, converged mask).
+    step, as the pass is elementwise.  Stops when no seed moves; an iterate
+    is converged where |char_fn| <= tol times a finite magnitude bound.
+    Returns (iterates, converged mask).
     """
     s = np.asarray(seeds, dtype=complex).copy()
     moving = np.flatnonzero(np.isfinite(s))
@@ -308,11 +324,9 @@ def _newton_batch(
         moving = moving[go]
         s[moving] = x[go] - step[go]
     f = char_fn(s, lin)
-    ok = (
-        np.isfinite(s)
-        & np.isfinite(f)
-        & (np.abs(f) <= tol * np.maximum(char_scale(s, lin), 1e-300))
-    )
+    bound = _evaluate(s, lin, _bound, math.nan)
+    ok = (np.isfinite(s) & np.isfinite(f) & np.isfinite(bound)
+          & (np.abs(f) <= tol * np.maximum(bound, 1e-300)))
     return s, ok
 
 

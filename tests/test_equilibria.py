@@ -185,6 +185,62 @@ class TestSolveE2:
         assert equilibria.solve_e1(p).exists
 
 
+def maturity_residual(q, p):
+    return (model.r_growth(q, p) * math.log(p.gamma * p.g * model.h_grazing(q, p) / p.delta)
+            - p.delta0 * p.m)
+
+
+def biomass_balance(n, p2, p):
+    """solve_e2's balance: total biomass at nutrient level n minus n_total."""
+    boost = 1.0 + p.gamma * p.g * model.h_grazing(p2, p) * equilibria.maturity_discount(p2, p)
+    return n + p2 + equilibria._z_from_n(n, p2, p) * boost - p.n_total
+
+
+def sign_change_near(fn, x):
+    """fn takes both signs (or zero) on the floats within 4*eps*|x| of x, the
+    bracket width at which Brent's method stops (4 to 8 ulp of x)."""
+    width, vals = equilibria.BRENT_RTOL * abs(x), [fn(x)]
+    for toward in (-math.inf, math.inf):
+        t = math.nextafter(x, toward)
+        while abs(t - x) <= width:
+            vals.append(fn(t))
+            t = math.nextafter(t, toward)
+    return min(vals) <= 0.0 <= max(vals)
+
+
+class TestBrentRoots:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        delta0=st.sampled_from([0.0, 0.17]),
+        l=st.sampled_from([None, 0.159]),
+        m_frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        lg_nt=st.floats(min_value=0.01, max_value=2.0),
+    )
+    def test_roots_sit_on_a_sign_change(self, delta0, l, m_frac, lg_nt):
+        base = ModelParams(delta0=delta0, l=l)
+        m = m_frac * min(0.98 * equilibria.m_ceiling(base), 19.7)
+        p = ModelParams(delta0=delta0, l=l, m=m)
+        p2 = equilibria.solve_p2star(p)
+        p_base = model.h_inverse(p.delta / (p.gamma * p.g), p)
+        if p2 == p_base * (1.0 + 1e-12):  # the shortcut for a tiny delta0*m
+            assert maturity_residual(p_base, p) <= 0.0 <= maturity_residual(p2, p)
+        else:
+            assert sign_change_near(lambda q: maturity_residual(q, p), p2)
+        p = ModelParams(delta0=delta0, l=l, m=m, n_total=equilibria.compute_nt2(p) * 10**lg_nt)
+        eq = equilibria.solve_e2(p)
+        assert sign_change_near(lambda n: biomass_balance(n, p2, p), eq.n_star)
+
+    @pytest.mark.parametrize("l", [None, 0.159])
+    def test_tiny_delay_cost_returns_the_lower_end(self, l):
+        # delta0*m so small that the residual is already >= 0 at 1e-12 above
+        # the grazing threshold: the root lies in between
+        p = ModelParams(delta0=0.17, l=l, m=1e-13)
+        p_base = model.h_inverse(p.delta / (p.gamma * p.g), p)
+        p2 = equilibria.solve_p2star(p)
+        assert p2 == p_base * (1.0 + 1e-12)
+        assert maturity_residual(p_base, p) <= 0.0 <= maturity_residual(p2, p)
+
+
 class TestSpectrum:
     def test_zero_for_phytoplankton_only(self, table1):
         p = table1(delta0=0.17, m=5.0, n_total=0.02)

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -262,36 +263,16 @@ class TestClosedForm:
                 dataclasses.replace(lin, **{name: bad})
 
 
+#: criterion 4's 24 E1 points (nt = nt1 + frac*(nt2 - nt1), grid_n=128), each
+#: checked against the Lambert-W root.  Columns: kind, delta0, l, m, frac.
+E1_POINTS = [("E1", *key) for key in itertools.product(
+    (0.0, 0.17), (None, 0.159), (2.0, 6.0), (0.25, 0.5, 0.9))]
+
 #: rightmost_real_part from the cofactor-expansion kernel with its
-#: finite-difference Newton, the path the closed form replaced: criterion 4's
-#: 24 E1 points (nt = nt1 + frac*(nt2 - nt1), grid_n=128) and 20 E2 points
-#: (nt = factor*nt2, default grid).  Columns: kind, delta0, l, m, frac or
-#: factor, verdict.
-PINNED_VERDICTS = [
-    ("E1", 0.0, None, 2.0, 0.25, -0.05270762830201385),
-    ("E1", 0.0, None, 2.0, 0.5, -0.07041758553321664),
-    ("E1", 0.0, None, 2.0, 0.9, -0.18974746184249303),
-    ("E1", 0.0, None, 6.0, 0.25, -0.05270762829270127),
-    ("E1", 0.0, None, 6.0, 0.5, -0.05189870790793895),
-    ("E1", 0.0, None, 6.0, 0.9, -0.1897474618621907),
-    ("E1", 0.0, 0.159, 2.0, 0.25, -0.052707628274543464),
-    ("E1", 0.0, 0.159, 2.0, 0.5, -0.10541525656645287),
-    ("E1", 0.0, 0.159, 2.0, 0.9, -0.1897474618196089),
-    ("E1", 0.0, 0.159, 6.0, 0.25, -0.05270762828296427),
-    ("E1", 0.0, 0.159, 6.0, 0.5, -6.3173454259855495),
-    ("E1", 0.0, 0.159, 6.0, 0.9, -0.18974746181961524),
-    ("E1", 0.17, None, 2.0, 0.25, -0.07514512820729352),
-    ("E1", 0.17, None, 2.0, 0.5, -0.0698203230109455),
-    ("E1", 0.17, None, 2.0, 0.9, -0.01239233433908521),
-    ("E1", 0.17, None, 6.0, 0.25, -0.09094897478858523),
-    ("E1", 0.17, None, 6.0, 0.5, -0.17000000008209593),
-    ("E1", 0.17, None, 6.0, 0.9, -0.00795814525325897),
-    ("E1", 0.17, 0.159, 2.0, 0.25, -0.11876436524086653),
-    ("E1", 0.17, 0.159, 2.0, 0.5, -0.07418655479571752),
-    ("E1", 0.17, 0.159, 2.0, 0.9, -0.013502336956864175),
-    ("E1", 0.17, 0.159, 6.0, 0.25, -0.10509417984235829),
-    ("E1", 0.17, 0.159, 6.0, 0.5, -26.25),
-    ("E1", 0.17, 0.159, 6.0, 0.9, -0.009811194246282212),
+#: finite-difference Newton, the path the closed form replaced: 20 E2 points
+#: (nt = factor*nt2, default grid).  Columns: kind, delta0, l, m, factor,
+#: verdict.
+PINNED_E2 = [
     ("E2", 0.0, None, 0.0, 1.5, -0.10220203715942908),
     ("E2", 0.0, None, 2.0, 2.5, -0.07852416547845893),
     ("E2", 0.0, None, 6.0, 4.0, -0.0429125524075079),
@@ -313,15 +294,6 @@ PINNED_VERDICTS = [
     ("E2", 0.17, 0.159, 10.0, 8.0, -0.14108650546023915),
     ("E2", 0.17, 0.159, 15.0, 20.0, 0.8409370503750467),
 ]
-
-#: Pinned points where the seed scan of either kernel misses the rightmost
-#: root, and the two kernels' iterates settle on different points.
-SCAN_DIFFERS = {
-    # both verdicts are roots left of the rightmost one; today's is nearer it
-    ("E1", 0.0, 0.159, 6.0, 0.25): "nearer",
-    # both verdicts are far-field points accepted where char_scale overflows
-    ("E1", 0.0, 0.159, 6.0, 0.5): "far_field",
-}
 
 
 def pinned_lin(kind, delta0, l, m, x):
@@ -346,19 +318,16 @@ def e1_rightmost(p, lin):
 
 
 class TestPinnedVerdicts:
-    @pytest.mark.parametrize("case", PINNED_VERDICTS, ids=lambda c: "-".join(map(str, c[:5])))
+    @pytest.mark.parametrize("case", [(*k, None) for k in E1_POINTS] + PINNED_E2,
+                             ids=lambda c: "-".join(map(str, c[:5])))
     def test_closed_form_keeps_the_verdict(self, case):
         key, pinned = case[:5], case[5]
         p, lin = pinned_lin(*key)
-        grid = {"grid_n": 128} if key[0] == "E1" else {}
-        got = linearize.rightmost_real_part(lin, **grid)
-        how = SCAN_DIFFERS.get(key)
-        if how is None:
-            assert got == pytest.approx(pinned, abs=1e-9)
-        elif how == "nearer":
-            assert pinned < got < e1_rightmost(p, lin)
+        if key[0] == "E1":
+            got, want = linearize.rightmost_real_part(lin, grid_n=128), e1_rightmost(p, lin)
         else:
-            assert got < -6.0 and got == pytest.approx(pinned, abs=1e-7)
+            got, want = linearize.rightmost_real_part(lin), pinned
+        assert got == pytest.approx(want, abs=1e-9)
 
     def test_e1_oracle_matches_the_factorization(self):
         # the oracle itself: its root zeroes the third factor
@@ -461,9 +430,25 @@ def full_array_newton(seeds, lin, *, tol=1e-10, max_iter=50):
             break
         s = s - step
     f = linearize.char_fn(s, lin)
-    ok = (np.isfinite(s) & np.isfinite(f)
-          & (np.abs(f) <= tol * np.maximum(linearize.char_scale(s, lin), 1e-300)))
+    bound = acceptance_bound(s, lin)
+    ok = (np.isfinite(s) & np.isfinite(f) & np.isfinite(bound)
+          & (np.abs(f) <= tol * np.maximum(bound, 1e-300)))
     return s, ok
+
+
+def acceptance_bound(s, lin):
+    """The final root test's yardstick: the Hadamard bound whose zooplankton-row
+    entries are sums of their terms' magnitudes, with |s| on the diagonal."""
+    (a00, a01, a02), (a10, a11, a12) = lin.a1[:2]
+    e, kern, _ = linearize._delay_terms(s, lin.t_delay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0, x1, x2 = (abs(a) + abs(b) * np.abs(e) + abs(c) * np.abs(kern)
+                      for a, b, c in zip(lin.a1[2], lin.a2[2], lin.a3[2]))
+        x2 = x2 + np.abs(s)
+        d0, d1 = np.abs(s - a00), np.abs(s - a11)
+        return (np.sqrt(d0 * d0 + a01 * a01 + a02 * a02)
+                * np.sqrt(a10 * a10 + d1 * d1 + a12 * a12)
+                * np.sqrt(x0 * x0 + x1 * x1 + x2 * x2))
 
 
 def scan_seeds(lin, grid_n):
@@ -544,6 +529,31 @@ class TestNewtonSweepCompaction:
             else:
                 with pytest.raises(NoConvergeError):
                     linearize.refine_root(seed, lin)
+
+
+class TestRootAcceptance:
+    """A point is a root only where the bound is finite: |f| <= tol*inf would
+    accept any finite far-field point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lin=sweep_lin(), max_iter=st.sampled_from([0, 1, 5, 50]))
+    def test_no_root_where_the_bound_is_infinite(self, lin, max_iter):
+        seeds = np.concatenate([scan_seeds(lin, 256), odd_seeds(lin)])
+        s, ok = linearize._newton_batch(seeds, lin, max_iter=max_iter)
+        assert np.isfinite(acceptance_bound(s[ok], lin)).all()
+        assert np.isfinite(linearize.char_scale(s[ok], lin)).all()
+
+    def test_unmoved_far_left_seeds_are_rejected(self):
+        # this E1 scan once returned an unmoved far-left seed (-6.317) as its
+        # verdict, where |char_fn| is finite and char_scale overflows to inf
+        _, lin = pinned_lin("E1", 0.0, 0.159, 6.0, 0.5)
+        seeds = scan_seeds(lin, 128)
+        far = (np.isfinite(linearize.char_fn(seeds, lin))
+               & ~np.isfinite(linearize.char_scale(seeds, lin)))
+        assert far.any()
+        _, ok = linearize._newton_batch(seeds, lin, max_iter=0)
+        assert not ok[far].any()
+        assert linearize.rightmost_real_part(lin, grid_n=128) == pytest.approx(-0.010370, abs=5e-7)
 
 
 class TestElementIndependence:
