@@ -12,14 +12,14 @@ K(s) = (1 - exp(-s*T))/s, so stability is read off the roots of
     det(s*I - A1 - A2*exp(-s*T) - A3*K(s)) = 0,
 
 an entire function of s once the removable singularity at s = 0 is handled.
-A2 and A3 act on the zooplankton row only, so it is Q(s) + exp(-s*T) R(s)
-+ K(s) S(s) with polynomials fixed once per linearization, evaluated as that
-row's entries times their cofactor polynomials (so its rounding error stays
-in step with the row norms of the Hadamard yardstick) and with an exact
-derivative; its entries come from one float-only kernel, :func:`char_point`.
-Root location is grid-seeded damped-free Newton iteration on that
-derivative, each pass over the working set of seeds still moving (a seed
-stops once its step is zero or non-finite), each scan kept on its
+A2 and A3 act on the zooplankton row only, so it is Q(s) - exp(-s*T) R(s)
+- K(s) S(s) with polynomials fixed once per linearization.  :func:`char_fn`
+evaluates it as that row's entries times their cofactor polynomials (its
+rounding in step with the Hadamard yardstick's row norms), the entries from
+one float-only kernel, :func:`char_point`.  Roots come from grid-seeded
+Newton iteration, each pass taking value and exact derivative by Horner on
+Q, R and S over the seeds still moving (a seed stops on a step below tol
+relative to its new iterate, or a non-finite one); each scan is kept on its
 linearization.  An iterate is a root where |char_fn| <= tol*B with B finite:
 B is the Hadamard bound with each zooplankton-row entry taken as the sum of
 its terms' magnitudes, which stays away from zero where that row's delay
@@ -46,6 +46,9 @@ from .model import ModelParams
 
 #: |s|*T below which the kernel (1-exp(-s*T))/s switches to its power series.
 SERIES_SWITCH = 1e-4
+
+#: Scanned roots closer than this, relative to max(1, |s|), are one root.
+DEDUPE_RTOL = 1e-7
 
 #: Roots smaller than this (1/day) are treated as the structural zero mode of
 #: the conservation law when delta0 = 0 and excluded from stability verdicts.
@@ -140,10 +143,12 @@ class LinearizationData:
     delta0: float
     rate_scale: float
     char_form: CharForm = field(init=False, repr=False, compare=False)
+    char_poly: tuple[float, ...] = field(init=False, repr=False, compare=False)
     scans: dict = field(init=False, repr=False, compare=False)  # (omega_max, grid_n) -> RootScan
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "char_form", _char_form(self.a1, self.a2, self.a3))
+        object.__setattr__(self, "char_poly", _char_poly(self.char_form))
         object.__setattr__(self, "scans", {})
 
 
@@ -190,15 +195,14 @@ def _delay_terms_scalar(s: complex, big_t: float) -> tuple[complex, complex]:
 def _delay_terms(s: np.ndarray, big_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """exp(-s*T), K(s) and K'(s) at an array of points, the kernel switching to
     its power series across the removable zero.  Far-field seeds overflow
-    exp(); callers mask the non-finite values, so the flags are silenced."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        small = np.abs(s) * big_t < SERIES_SWITCH
-        e = np.exp(-s * big_t)
-        kern = (1.0 - e) / s
-        dkern = (big_t * e - kern) / s
-        if small.any():
-            kern = np.where(small, big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0, kern)
-            dkern = np.where(small, -big_t**2 / 2.0 + s * big_t**3 / 3.0, dkern)
+    exp(); callers mask the non-finite values and hold np.errstate."""
+    small = np.abs(s) * big_t < SERIES_SWITCH
+    e = np.exp(-s * big_t)
+    kern = (1.0 - e) / s
+    dkern = (big_t * e - kern) / s
+    if small.any():
+        kern = np.where(small, big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0, kern)
+        dkern = np.where(small, -big_t**2 / 2.0 + s * big_t**3 / 3.0, dkern)
     return e, kern, dkern
 
 
@@ -209,15 +213,10 @@ def _bottom_row(s, e, kern, form: CharForm) -> tuple:
             -a22 - b22 * e - c22 * kern + s)
 
 
-def _cofactors(s, form: CharForm) -> tuple:
-    p0, v0, p1, v1, u2, v2 = form.cofactors
-    return p0 * s + v0, p1 * s + v1, (s + u2) * s + v2
-
-
 def _expand(s, e, kern, form: CharForm):
     x0, x1, x2 = _bottom_row(s, e, kern, form)
-    c0, c1, c2 = _cofactors(s, form)
-    return x0 * c0 + x1 * c1 + x2 * c2
+    p0, v0, p1, v1, u2, v2 = form.cofactors
+    return x0 * (p0 * s + v0) + x1 * (p1 * s + v1) + x2 * ((s + u2) * s + v2)
 
 
 def _sq_abs(z):
@@ -244,9 +243,8 @@ def _evaluate(s, lin: LinearizationData | CharPoint, fn, nan):
         except (OverflowError, ValueError):
             return nan
     s = np.asarray(s, dtype=complex)
-    e, kern, _ = _delay_terms(s, lin.t_delay)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return fn(s, e, kern, lin.char_form)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return fn(s, *_delay_terms(s, lin.t_delay)[:2], lin.char_form)
 
 
 def char_fn(s, lin: LinearizationData | CharPoint):
@@ -277,20 +275,30 @@ def _bound(s, e, kern, form: CharForm):
     return _hadamard(s, row, form)
 
 
-def _char_newton(s: np.ndarray, lin: LinearizationData):
-    """char_fn, its exact derivative and char_scale at an array of points, in one pass."""
-    form = lin.char_form
-    _, _, _, b20, b21, b22, c20, c21, c22 = form.bottom
-    p0, _, p1, _, u2, _ = form.cofactors
+def _char_poly(form: CharForm) -> tuple[float, ...]:
+    """(q2, q1, q0, r2, r1, r0, w2, w1, w0): char_fn = Q - exp(-s*T) R - K(s) S
+    with Q = s^3 + q2 s^2 + q1 s + q0, R = r2 s^2 + r1 s + r0, S = w2 s^2 + w1 s + w0."""
+    a20, a21, a22, b20, b21, b22, c20, c21, c22 = form.bottom
+    p0, v0, p1, v1, u2, v2 = form.cofactors
+
+    def along_row(x0, x1, x2):  # x0 C0 + x1 C1 + x2 C2
+        return x2, x0 * p0 + x1 * p1 + x2 * u2, x0 * v0 + x1 * v1 + x2 * v2
+
+    q2, q1, q0 = along_row(-a20, -a21, -a22)
+    return (q2 + u2, q1 + v2, q0, *along_row(b20, b21, b22), *along_row(c20, c21, c22))
+
+
+def _char_newton(s: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray, np.ndarray]:
+    """char_fn and its exact derivative at an array of points, by Horner on
+    Q, R and S; non-finite where exp(-s*T) overflows (callers hold np.errstate)."""
+    q2, q1, q0, r2, r1, r0, w2, w1, w0 = lin.char_poly
     e, kern, dkern = _delay_terms(s, lin.t_delay)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x0, x1, x2 = row = _bottom_row(s, e, kern, form)
-        c0, c1, c2 = _cofactors(s, form)
-        de = -lin.t_delay * e
-        df = ((-b20 * de - c20 * dkern) * c0 + x0 * p0
-              + (-b21 * de - c21 * dkern) * c1 + x1 * p1
-              + (1.0 - b22 * de - c22 * dkern) * c2 + x2 * (2.0 * s + u2))
-        return x0 * c0 + x1 * c1 + x2 * c2, df, _hadamard(s, row, form)
+    r = (r2 * s + r1) * s + r0
+    w = (w2 * s + w1) * s + w0
+    f = ((s + q2) * s + q1) * s + q0 - e * r - kern * w
+    df = ((3.0 * s + 2.0 * q2) * s + q1 - e * ((2.0 * r2) * s + r1 - lin.t_delay * r)
+          - dkern * w - kern * ((2.0 * w2) * s + w1))
+    return f, df
 
 
 def _newton_batch(
@@ -302,27 +310,27 @@ def _newton_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped-free Newton on char_fn from every finite seed at once.
 
-    One fused pass per iteration gives char_fn, its exact derivative and the
-    scale on the working set, the seeds that moved on the last iteration.  A
-    seed whose step is zero or non-finite (converged, non-finite f, df = 0)
-    leaves it and keeps its iterate: every later pass would give it the same
-    step, as the pass is elementwise.  Stops when no seed moves; an iterate
-    is converged where |char_fn| <= tol times a finite magnitude bound.
+    Each pass evaluates char_fn and its exact derivative on the working set,
+    the seeds still moving.  A seed leaves it once it applies a step with
+    |step| <= tol*|s_new|, and, keeping its iterate, once its step is not
+    finite (non-finite f, df = 0).  An iterate is converged where
+    |char_fn| <= tol times a finite magnitude bound.
     Returns (iterates, converged mask).
     """
     s = np.asarray(seeds, dtype=complex).copy()
     moving = np.flatnonzero(np.isfinite(s))
-    for _ in range(max_iter):
-        x = s[moving]
-        f, df, scale = _char_newton(x, lin)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    x = s[moving]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            if not moving.size:
+                break
+            f, df = _char_newton(x, lin)
             step = f / df
-        go = (~(np.abs(f) <= tol * np.maximum(scale, 1e-300)) & np.isfinite(f) & (df != 0)
-              & np.isfinite(step) & (step != 0))
-        if not go.any():
-            break
-        moving = moving[go]
-        s[moving] = x[go] - step[go]
+            x_new = x - step
+            finite = np.isfinite(step)
+            s[moving] = np.where(finite, x_new, x)
+            go = finite & (np.abs(step) > tol * np.abs(x_new))
+            moving, x = moving[go], x_new[go]
     f = char_fn(s, lin)
     bound = _evaluate(s, lin, _bound, math.nan)
     ok = (np.isfinite(s) & np.isfinite(f) & np.isfinite(bound)
@@ -351,7 +359,7 @@ def _dedupe(roots: np.ndarray) -> np.ndarray:
     roots = roots[order]
     keep = [roots[0]]
     for r in roots[1:]:
-        if abs(r - keep[-1]) > 1e-7 * max(1.0, abs(r)):
+        if abs(r - keep[-1]) > DEDUPE_RTOL * max(1.0, abs(r)):
             keep.append(r)
     return np.array(keep)
 
@@ -398,6 +406,13 @@ def scan_roots(
     kept = roots[ok]
     # conjugate symmetry: fold onto the upper half plane
     kept = _dedupe(np.where(kept.imag < 0, np.conj(kept), kept))
+    # one more Newton step within the dedupe radius: a seed that landed in
+    # the last pass carries the root test's error, not the stop rule's
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f, df = _char_newton(kept, lin)
+        step = f / df
+    kept = np.where(np.abs(step) <= DEDUPE_RTOL * np.maximum(1.0, np.abs(kept)), kept - step, kept)
+    kept = np.where(kept.imag < 0, np.conj(kept), kept)
     kept.flags.writeable = False
     scan = lin.scans[omega_max, grid_n] = RootScan(roots=kept, coverage=coverage)
     return scan

@@ -426,6 +426,25 @@ class TestTraceCurve:
         assert curve.termination is CurveEnd.DOMAIN_BOUND
         assert all(p.n_total <= 4.0 for p in curve.points)
 
+    def test_max_steps_termination(self, loop_family):
+        params, start = loop_family
+        curve = continuation.trace_curve(
+            start, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=3)
+        )
+        assert curve.termination is CurveEnd.MAX_STEPS
+        assert len(curve) == 4  # the start and three steps
+
+    def test_step_failure_termination(self, loop_family):
+        # one Newton iteration cannot correct a predictor off the locus, and
+        # a single halving already falls below h_min
+        params, start = loop_family
+        curve = continuation.trace_curve(
+            start, params,
+            TraceOptions(nt_min=1.0, nt_max=30.0, max_newton=1, h_init=1e-2, h_min=0.6e-2),
+        )
+        assert curve.termination is CurveEnd.STEP_FAILURE
+        assert len(curve) == 1
+
     def test_bad_start_rejected(self, loop_family):
         params, start = loop_family
         off = BoundaryPoint(
