@@ -6,10 +6,10 @@ its outputs, so any artifact can be reproduced exactly with
 scientific notation; identical configurations produce byte-identical files.
 
 Exit codes: 0 success (including a clean extinction), 1 runtime failure,
-2 invalid configuration, 3 check-suite failure.  ``TDE_PLANKTON_THREADS``
-caps the worker pool that seeds boundary curves, one maturity per job whose
-windows share their root scans; sweeps and traces run in order on the
-calling thread.  ``trace-boundary`` traces its starts in order of
+2 invalid configuration, 3 check-suite failure.  Boundary curves are
+seeded on a pool of up to four threads, one maturity per job whose windows
+share their root scans; sweeps and traces run in order on the calling
+thread.  ``trace-boundary`` traces its starts in order of
 (m, n_total, omega) and skips a start that lies on a curve already traced,
 so a locus is traced once, from the first start on it.
 """
@@ -42,19 +42,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_CHECKS = 3
-
-
-def _thread_count() -> int:
-    env = os.environ.get("TDE_PLANKTON_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as err:
-            raise ConfigError(f"TDE_PLANKTON_THREADS must be an integer, got {env!r}") from err
-        if n < 1:
-            raise ConfigError("TDE_PLANKTON_THREADS must be at least 1")
-        return n
-    return min(4, os.cpu_count() or 1)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -154,7 +141,7 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
         lins: dict = {}  # this maturity's windows solve in the same bracket
         return [seed_one(m, w, lins) for w in windows]
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         starts = [s for group in pool.map(seed_m, m_seeds) for s in group if s is not None]
 
     # the stepping options TraceSettings shares with TraceOptions, by name

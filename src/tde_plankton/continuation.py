@@ -10,8 +10,8 @@ predictor from the nullspace of the finite-difference Jacobian and a Newton
 corrector on the residuals augmented with the arclength hyperplane.  The
 same corrector polishes a start point, its hyperplane the unit vector along
 m so that m stays fixed.  The residual reads the characteristic function
-off the float-only closed form (:func:`linearize.char_point`), with no
-matrices built.
+off the closed form that :func:`linearize.linearization_at` computes in
+plain floats, with no matrices built.
 
 Working coordinates are scaled so arclength is meaningful across the decades
 the curves span: pools by n_total, n_total by log10, m by the maturity
@@ -98,14 +98,14 @@ class TraceOptions:
 
 
 def hopf_residual(
-    u, params: ModelParams, lin: linearize.LinearizationData | linearize.CharPoint | None = None
+    u, params: ModelParams, lin: linearize.LinearizationData | None = None
 ) -> np.ndarray:
     """Raw five-component residual at u = (n, p, z, m, n_total, omega).
 
     Components 1-3 are the steady-state residuals; 4-5 the real and
     imaginary parts of the characteristic function at s = i*omega for the
     linearization built at (n, p, z, m).  A caller that already holds that
-    linearization, or its :class:`linearize.CharPoint`, passes it as ``lin``.
+    linearization passes it as ``lin``.
     """
     n, p, z, m, nt, omega = (float(v) for v in u)
     if p <= 0:
@@ -135,11 +135,11 @@ def _unpack(x: np.ndarray, m_scale: float) -> np.ndarray:
 def _scaled_residual(x: np.ndarray, params: ModelParams, m_scale: float) -> np.ndarray:
     u = _unpack(x, m_scale)
     n, p, z, m, nt, omega = u.tolist()
-    # one closed form, with no matrices built, serves the residual and its scale
-    point = linearize.char_point(n, p, z, m, params)
-    raw = hopf_residual(u, params, point)
+    # one linearization serves the residual and its scale
+    lin = linearize.linearization_at(n, p, z, m, params)
+    raw = hopf_residual(u, params, lin)
     eq_scale = max(1.0, nt)
-    ch_scale = max(1.0, linearize.char_scale(1j * omega, point))
+    ch_scale = max(1.0, linearize.char_scale(1j * omega, lin))
     return np.array(
         [raw[0] / eq_scale, raw[1] / eq_scale, raw[2] / eq_scale,
          raw[3] / ch_scale, raw[4] / ch_scale]

@@ -15,12 +15,13 @@ an entire function of s once the removable singularity at s = 0 is handled.
 A2 and A3 act on the zooplankton row only, so it is Q(s) - exp(-s*T) R(s)
 - K(s) S(s) with polynomials fixed once per linearization.  :func:`char_fn`
 evaluates it as that row's entries times their cofactor polynomials (its
-rounding in step with the Hadamard yardstick's row norms), the entries from
-one float-only kernel, :func:`char_point`.  Roots come from grid-seeded
-Newton iteration, each pass taking value and exact derivative by Horner on
-Q, R and S over the seeds still moving (a seed stops on a step below tol
-relative to its new iterate, or a non-finite one); each scan is kept on its
-linearization.  An iterate is a root where |char_fn| <= tol*B with B finite:
+rounding in step with the Hadamard yardstick's row norms), the entries
+computed once in plain floats by :func:`linearization_at`, the only
+constructor of :class:`LinearizationData`, which rebuilds its matrices from
+them on demand.  Roots come from grid-seeded Newton iteration, each pass
+taking value and exact derivative by Horner on Q, R and S over the seeds
+still moving (a seed stops on a step below tol relative to its new iterate,
+or a non-finite one); each scan is kept on its linearization.  An iterate is a root where |char_fn| <= tol*B with B finite:
 B is the Hadamard bound with each zooplankton-row entry taken as the sum of
 its terms' magnitudes, which stays away from zero where that row's delay
 factor vanishes (at the phytoplankton-only state the row is (0, 0, x2)).
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -76,22 +78,55 @@ def _form(top: tuple[float, ...], bottom: tuple[float, ...]) -> CharForm:
     )
 
 
-def _char_form(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> CharForm:
-    if np.any(a2[:2] != 0) or np.any(a3[:2] != 0):
-        raise DomainError("delayed and distributed terms must act on the zooplankton row only")
-    return _form(tuple(a1[:2].ravel().tolist()),
-                 (*a1[2].tolist(), *a2[2].tolist(), *a3[2].tolist()))
+_ZERO_ROW = (0.0, 0.0, 0.0)
 
 
-class CharPoint(NamedTuple):
-    """All that char_fn and char_scale read of a linearization."""
+@dataclass(frozen=True)
+class LinearizationData:
+    """Closed form and scalars of the linearized system at an equilibrium.
+
+    ``char_form`` holds the entries of ``a1`` (instantaneous state), ``a2``
+    (the state one delay ``t_delay`` ago) and ``a3`` (the history integral
+    over the delay window); the matrices are rebuilt from it on each read.
+    The reference growth rate is pinned to R(p_star) so the threshold-delay
+    and fixed-delay linearizations coincide.  ``char_poly`` is derived on
+    first use; ``scans`` holds this instance's root scans, and a
+    ``dataclasses.replace`` copy starts without either.
+    """
 
     char_form: CharForm
     t_delay: float
+    coeff_a: float  # f'(n_star)
+    coeff_d: float  # h(p_star)
+    delta0: float
+    rate_scale: float
+
+    @cached_property
+    def char_poly(self) -> tuple[float, ...]:
+        return _char_poly(self.char_form)
+
+    @cached_property
+    def scans(self) -> dict:  # (omega_max, grid_n) -> RootScan
+        return {}
+
+    @property
+    def a1(self) -> np.ndarray:
+        top, bottom = self.char_form.top, self.char_form.bottom
+        return np.array([top[:3], top[3:], bottom[:3]])
+
+    @property
+    def a2(self) -> np.ndarray:
+        return np.array([_ZERO_ROW, _ZERO_ROW, self.char_form.bottom[3:6]])
+
+    @property
+    def a3(self) -> np.ndarray:
+        return np.array([_ZERO_ROW, _ZERO_ROW, self.char_form.bottom[6:]])
 
 
-def char_point(n: float, p: float, z: float, m: float, params: ModelParams) -> CharPoint:
-    """Closed form of the linearization at (n, p, z, m), from plain floats.
+def linearization_at(
+    n: float, p: float, z: float, m: float, params: ModelParams
+) -> LinearizationData:
+    """Linearization at an arbitrary state (n, p, z, m), from plain floats.
 
     DomainError for p <= 0 or n < 0, SingularRateError for R(p) below the
     floor, OverflowError where exp(-delta0*m/R) leaves the float range.
@@ -118,60 +153,7 @@ def char_point(n: float, p: float, z: float, m: float, params: ModelParams) -> C
     bottom = (0.0, surv * gam * g * z * d * rp / r, -delta,  # row 2 of a1,
               0.0, surv * gam * g * z * (b - rp / r * d), surv * gam * g * d,  # of a2,
               0.0, delta0 * surv * gam * g * z * d * rp / r, 0.0)  # of a3
-    return CharPoint(_form(top, bottom), big_t)
-
-
-@dataclass(frozen=True)
-class LinearizationData:
-    """Matrices and scalars of the linearized system at an equilibrium.
-
-    ``a1`` acts on the instantaneous state, ``a2`` on the state one delay
-    ``t_delay`` ago, and ``a3`` on the history integral over the delay
-    window.  The reference growth rate is pinned to R(p_star) here so the
-    threshold-delay and fixed-delay linearizations coincide.  The closed
-    form is derived on construction; ``scans`` holds this instance's root scans.
-    """
-
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    t_delay: float
-    coeff_a: float  # f'(n_star)
-    coeff_b: float  # h'(p_star)
-    coeff_c: float  # f(n_star)
-    coeff_d: float  # h(p_star)
-    delta0: float
-    rate_scale: float
-    char_form: CharForm = field(init=False, repr=False, compare=False)
-    char_poly: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    scans: dict = field(init=False, repr=False, compare=False)  # (omega_max, grid_n) -> RootScan
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "char_form", _char_form(self.a1, self.a2, self.a3))
-        object.__setattr__(self, "char_poly", _char_poly(self.char_form))
-        object.__setattr__(self, "scans", {})
-
-
-def linearization_at(
-    n_star: float, p_star: float, z_star: float, m: float, params: ModelParams
-) -> LinearizationData:
-    """Linearization matrices at an arbitrary state, from :func:`char_point`."""
-    point = char_point(n_star, p_star, z_star, m, params)
-    top, bottom = point.char_form.top, point.char_form.bottom
-    a2, a3 = np.zeros((3, 3)), np.zeros((3, 3))
-    a2[2], a3[2] = bottom[3:6], bottom[6:]
-    return LinearizationData(
-        a1=np.array([top[:3], top[3:], bottom[:3]]),
-        a2=a2,
-        a3=a3,
-        t_delay=point.t_delay,
-        coeff_a=float(model.f_uptake_prime(n_star, params)),
-        coeff_b=float(model.h_grazing_prime(p_star, params)),
-        coeff_c=float(model.f_uptake(n_star, params)),
-        coeff_d=float(model.h_grazing(p_star, params)),
-        delta0=params.delta0,
-        rate_scale=max(params.mu, params.g, params.delta),
-    )
+    return LinearizationData(_form(top, bottom), big_t, a, d, delta0, max(mu, g, delta))
 
 
 def build_linearization(eq: EquilibriumPoint, params: ModelParams) -> LinearizationData:
@@ -233,7 +215,7 @@ def _hadamard(s, row, form: CharForm):
             * sqrt(_sq_abs(row[0]) + _sq_abs(row[1]) + _sq_abs(row[2])))
 
 
-def _evaluate(s, lin: LinearizationData | CharPoint, fn, nan):
+def _evaluate(s, lin: LinearizationData, fn, nan):
     """fn(s, exp(-s*T), K(s), form) in plain complex arithmetic at a scalar
     (``nan`` where cmath leaves the float range), in numpy at an array."""
     if isinstance(s, (complex, float, int)) or np.ndim(s) == 0:
@@ -247,7 +229,7 @@ def _evaluate(s, lin: LinearizationData | CharPoint, fn, nan):
         return fn(s, *_delay_terms(s, lin.t_delay)[:2], lin.char_form)
 
 
-def char_fn(s, lin: LinearizationData | CharPoint):
+def char_fn(s, lin: LinearizationData):
     """Characteristic function at a complex scalar or an ndarray of seeds.
 
     Far-field points, where exp(-s*T) overflows, give non-finite values.
@@ -259,7 +241,7 @@ def _scale(s, e, kern, form: CharForm):
     return _hadamard(s, _bottom_row(s, e, kern, form), form)
 
 
-def char_scale(s, lin: LinearizationData | CharPoint):
+def char_scale(s, lin: LinearizationData):
     """Hadamard bound on |char_fn|: product of row norms. Relative-error yardstick."""
     return _evaluate(s, lin, _scale, math.nan)
 

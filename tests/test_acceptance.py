@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are pinned here, not configurable.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 
 from tde_plankton import continuation, equilibria, linearize, model, simulate
 from tde_plankton.continuation import TraceOptions
-from tde_plankton.linearize import LinearizationData
 from tde_plankton.model import ModelParams
 from tde_plankton.simulate import HistorySpec, Termination
 
@@ -260,11 +260,7 @@ def test_criterion_09_periodicity_without_juvenile_mortality():
     for _ in range(100):
         omega = float(10 ** rng.uniform(-1.5, 1.5))
         m_shifted_delay = lin.t_delay + 2 * math.pi / omega
-        shifted = LinearizationData(
-            a1=lin.a1, a2=lin.a2, a3=lin.a3, t_delay=m_shifted_delay,
-            coeff_a=lin.coeff_a, coeff_b=lin.coeff_b, coeff_c=lin.coeff_c,
-            coeff_d=lin.coeff_d, delta0=lin.delta0, rate_scale=lin.rate_scale,
-        )
+        shifted = dataclasses.replace(lin, t_delay=m_shifted_delay)
         a = linearize.char_fn(1j * omega, lin)
         b = linearize.char_fn(1j * omega, shifted)
         worst = max(worst, abs(a - b) / max(linearize.char_scale(1j * omega, lin), 1e-300))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -6,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tde_plankton import checks, cli, continuation
-from tde_plankton.checks import CheckHooks
+from tde_plankton import checks, cli, continuation, linearize
 from tde_plankton.config import SCHEMA, build_config, dump_flat, parse_flat_text
 from tde_plankton.exceptions import ConfigError
 from tde_plankton.model import ModelParams
@@ -127,9 +127,7 @@ class TestExitCodes:
         assert md["termination"] == "singular_rate"
 
     def test_failing_check_exits_3(self, tmp_path, monkeypatch):
-        suite = checks.run_check_suite
-        monkeypatch.setattr(checks, "run_check_suite",
-                            lambda params: suite(params, CheckHooks(corrupt_a2_sign=True)))
+        flip_delayed_row(monkeypatch)
         code = run_cli([
             "check", "--out", str(tmp_path),
             "--set", "model.delta0=0.17", "--set", "model.m=5",
@@ -341,14 +339,56 @@ class TestCheckCommand:
         assert (a / "report.jsonl").read_bytes() == (c / "report.jsonl").read_bytes()
 
 
+def flip_delayed_row(monkeypatch):
+    """Make every linearization the checks build carry -A2 instead of A2."""
+    build = linearize.build_linearization
+
+    def flipped(eq, params):
+        lin = build(eq, params)
+        bottom = lin.char_form.bottom
+        form = lin.char_form._replace(
+            bottom=(*bottom[:3], *(-x for x in bottom[3:6]), *bottom[6:]))
+        return dataclasses.replace(lin, char_form=form)
+
+    monkeypatch.setattr(linearize, "build_linearization", flipped)
+
+
 class TestCheckHooks:
-    def test_corrupted_delayed_coupling_is_caught(self):
+    def test_corrupted_delayed_coupling_is_caught(self, monkeypatch):
         params = ModelParams(delta0=0.17, l=0.159, m=5.0, n_total=1.0)
         clean = checks.run_check_suite(params)
         assert all(r.status != "fail" for r in clean)
-        broken = checks.run_check_suite(params, CheckHooks(corrupt_a2_sign=True))
+        flip_delayed_row(monkeypatch)
+        broken = checks.run_check_suite(params)
         by_name = {r.name: r for r in broken}
         assert by_name["e1_factorization"].status == "fail"
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_wrong_series_branch_is_caught(self, monkeypatch, scalar):
+        # the kernel's power series with the sign of its linear term flipped
+        def wrong_series(s, big_t):
+            return big_t + s * big_t ** 2 / 2.0 + s ** 2 * big_t ** 3 / 6.0
+
+        if scalar:
+            right = linearize._delay_terms_scalar
+
+            def patched(s, big_t):
+                e, kern = right(s, big_t)
+                small = abs(s) * big_t < linearize.SERIES_SWITCH
+                return e, wrong_series(s, big_t) if small else kern
+
+            monkeypatch.setattr(linearize, "_delay_terms_scalar", patched)
+        else:
+            right = linearize._delay_terms
+
+            def patched(s, big_t):
+                e, kern, dkern = right(s, big_t)
+                small = np.abs(s) * big_t < linearize.SERIES_SWITCH
+                return e, np.where(small, wrong_series(s, big_t), kern), dkern
+
+            monkeypatch.setattr(linearize, "_delay_terms", patched)
+        params = ModelParams(delta0=0.17, l=0.159, m=5.0, n_total=1.0)
+        assert checks.check_char_series_continuity(params).status == "fail"
 
     def test_periodicity_scope(self):
         with_mortality = {

@@ -110,7 +110,8 @@ def _count_traces(monkeypatch) -> list:
 
 def _matrix_linearization(n_star, p_star, z_star, m, params):
     """The matrix construction the closed-form residual replaced, through the
-    public model responses."""
+    public model responses, with its closed form gathered from its own
+    matrices."""
     if p_star <= 0:
         raise DomainError("linearization requires p_star > 0")
     r = float(model.r_growth(p_star, params))
@@ -136,10 +137,10 @@ def _matrix_linearization(n_star, p_star, z_star, m, params):
     a2[2, 2] = surv * gam * g * d
     a3 = np.zeros((3, 3))
     a3[2, 1] = delta0 * surv * gam * g * z_star * d * rp / r
-    return linearize.LinearizationData(
-        a1=a1, a2=a2, a3=a3, t_delay=big_t, coeff_a=a, coeff_b=b, coeff_c=c, coeff_d=d,
-        delta0=delta0, rate_scale=max(mu, g, delta),
-    )
+    assert not (a2[:2].any() or a3[:2].any())  # delayed terms on the zooplankton row only
+    form = linearize._form(tuple(a1[:2].ravel().tolist()),
+                           (*a1[2].tolist(), *a2[2].tolist(), *a3[2].tolist()))
+    return linearize.LinearizationData(form, big_t, a, d, delta0, max(mu, g, delta))
 
 
 def _matrix_scaled_residual(x, params, m_scale):
@@ -184,7 +185,7 @@ class TestScaledResidualFastPath:
                     for build in (linearize.linearization_at, _matrix_linearization))
         for name in ("a1", "a2", "a3"):
             assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
-        scalars = ("t_delay", "coeff_a", "coeff_b", "coeff_c", "coeff_d", "delta0", "rate_scale")
+        scalars = ("t_delay", "coeff_a", "coeff_d", "delta0", "rate_scale")
         assert [getattr(new, f) for f in scalars] == [getattr(old, f) for f in scalars]
         assert new.char_form == old.char_form
 
@@ -216,7 +217,7 @@ class TestScaledResidualFastPath:
         if error in (DomainError, SingularRateError):  # raised by the kernel itself
             n, p, z, m = continuation._unpack(x, m_scale).tolist()[:4]
             with pytest.raises(error):
-                linearize.char_point(n, p, z, m, params)
+                linearize.linearization_at(n, p, z, m, params)
 
 
 class TestNewtonCorrector:

@@ -4,7 +4,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def _load(name):
@@ -34,3 +37,13 @@ def test_equilibrium_sweeps(tmp_path):
                 if row["kind"] != "degenerate":
                     assert float(row["residual"]) <= 1e-12 * float(row["n_total"])
     assert kinds == {"e0": 980, "E1": 1201, "E2": 1819}
+
+
+def test_readme_library_quick_start(capsys):
+    section = README.read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    verdict, frequency = (float(line) for line in capsys.readouterr().out.split())
+    assert verdict < 0  # locally stable
+    assert frequency == pytest.approx(namespace["start"].omega, rel=0.01)
