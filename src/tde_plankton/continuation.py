@@ -9,9 +9,10 @@ curves.  These are followed by pseudo-arclength continuation: a tangent
 predictor from the nullspace of the finite-difference Jacobian and a Newton
 corrector on the residuals augmented with the arclength hyperplane.  The
 same corrector polishes a start point, its hyperplane the unit vector along
-m so that m stays fixed.  The residual reads the characteristic function
-off the closed form that :func:`linearize.linearization_at` computes in
-plain floats, with no matrices built.
+m so that m stays fixed.  The residual and its Jacobian columns run on
+plain floats, the characteristic function and its scale read in one pass
+off the closed form that :func:`linearize.linearization_at` computes, with
+no matrices built.
 
 Working coordinates are scaled so arclength is meaningful across the decades
 the curves span: pools by n_total, n_total by log10, m by the maturity
@@ -98,23 +99,29 @@ class TraceOptions:
 
 
 def hopf_residual(
-    u, params: ModelParams, lin: linearize.LinearizationData | None = None
-) -> np.ndarray:
-    """Raw five-component residual at u = (n, p, z, m, n_total, omega).
+    u, params: ModelParams, lin: linearize.LinearizationData | None = None,
+    eq_res: tuple | None = None,
+) -> tuple[float, ...]:
+    """Scaled five-component residual at u = (n, p, z, m, n_total, omega).
 
-    Components 1-3 are the steady-state residuals; 4-5 the real and
-    imaginary parts of the characteristic function at s = i*omega for the
-    linearization built at (n, p, z, m).  A caller that already holds that
-    linearization passes it as ``lin``.
+    Components 1-3 are the steady-state residuals over max(1, n_total); 4-5
+    the real and imaginary parts of the characteristic function at
+    s = i*omega over max(1, its Hadamard bound), for the linearization built
+    at (n, p, z, m).  A caller that already holds that linearization, or
+    components 1-3, passes them as ``lin`` and ``eq_res``.
     """
-    n, p, z, m, nt, omega = (float(v) for v in u)
+    n, p, z, m, nt, omega = map(float, u)
     if p <= 0:
         raise DomainError("hopf_residual requires p_star > 0")
-    eq_res = equilibria.residuals_at(n, p, z, m, nt, params)
     if lin is None:
         lin = linearize.linearization_at(n, p, z, m, params)
-    val = linearize.char_fn(1j * omega, lin)
-    return np.array([eq_res[0], eq_res[1], eq_res[2], val.real, val.imag])
+    if eq_res is None:
+        eq_scale = max(1.0, nt)
+        r1, r2, r3 = equilibria.residuals_at(n, p, z, m, nt, params)
+        eq_res = (r1 / eq_scale, r2 / eq_scale, r3 / eq_scale)
+    val, scale = linearize.char_fn_and_scale(1j * omega, lin)
+    ch_scale = max(1.0, scale)
+    return (*eq_res, val.real / ch_scale, val.imag / ch_scale)
 
 
 def _m_scale(params: ModelParams) -> float:
@@ -127,35 +134,41 @@ def _pack(u: np.ndarray, m_scale: float) -> np.ndarray:
     return np.array([n / nt, p / nt, z / nt, m / m_scale, math.log10(nt), omega])
 
 
-def _unpack(x: np.ndarray, m_scale: float) -> np.ndarray:
+def _unpack(x, m_scale: float) -> tuple:
     nt = 10.0 ** float(x[4])  # a float power raises OverflowError instead of giving inf
-    return np.array([x[0] * nt, x[1] * nt, x[2] * nt, x[3] * m_scale, nt, x[5]])
+    return (x[0] * nt, x[1] * nt, x[2] * nt, x[3] * m_scale, nt, x[5])
+
+
+def _residual(x: list, params: ModelParams, m_scale: float) -> tuple:
+    """Scaled residual at the scaled point ``x`` and the linearization it used."""
+    u = _unpack(x, m_scale)
+    lin = linearize.linearization_at(*u[:4], params)
+    return hopf_residual(u, params, lin), lin
 
 
 def _scaled_residual(x: np.ndarray, params: ModelParams, m_scale: float) -> np.ndarray:
-    u = _unpack(x, m_scale)
-    n, p, z, m, nt, omega = u.tolist()
-    # one linearization serves the residual and its scale
-    lin = linearize.linearization_at(n, p, z, m, params)
-    raw = hopf_residual(u, params, lin)
-    eq_scale = max(1.0, nt)
-    ch_scale = max(1.0, linearize.char_scale(1j * omega, lin))
-    return np.array(
-        [raw[0] / eq_scale, raw[1] / eq_scale, raw[2] / eq_scale,
-         raw[3] / ch_scale, raw[4] / ch_scale]
-    )
+    return np.array(_residual(x.tolist(), params, m_scale)[0])
 
 
 def _fd_jacobian(
-    x: np.ndarray, params: ModelParams, m_scale: float, base: np.ndarray
+    x: np.ndarray, params: ModelParams, m_scale: float, base: tuple,
+    lin: linearize.LinearizationData,
 ) -> np.ndarray:
-    """Forward-difference Jacobian; ``base`` is the scaled residual at x."""
-    jac = np.empty((5, x.size))
-    for j in range(x.size):
-        xs = x.copy()
+    """Forward-difference Jacobian; ``base`` and ``lin`` are the scaled
+    residual at x and its linearization.  A step in omega moves neither the
+    linearization nor the steady-state residuals, so that column reuses both."""
+    xl = x.tolist()
+    u = _unpack(xl, m_scale)
+    cols = []
+    for j in range(6):
+        xs = xl.copy()
         xs[j] += FD_STEP
-        jac[:, j] = (_scaled_residual(xs, params, m_scale) - base) / FD_STEP
-    return jac
+        if j < 5:
+            r = _residual(xs, params, m_scale)[0]
+        else:
+            r = hopf_residual((*u[:5], xs[5]), params, lin, base[:3])
+        cols.append([(a - b) / FD_STEP for a, b in zip(r, base)])
+    return np.array(cols).T
 
 
 def _tangent(jac: np.ndarray) -> np.ndarray:
@@ -170,31 +183,30 @@ def _newton_corrector(
     params: ModelParams,
     m_scale: float,
     opts: TraceOptions,
-) -> tuple[np.ndarray, int, np.ndarray] | None:
+) -> tuple[np.ndarray, int, tuple] | None:
     """Newton on [scaled residual; tangent . (x - plane_point)] from x0.
 
-    Returns (solution, iterations, scaled residual there) or None on
-    failure.  An iterate whose residual leaves the floating-point range
-    (``math.exp`` or ``10**x`` overflowing far outside the domain) counts as
-    a failure too.
+    Returns (solution, iterations, (scaled residual there, its
+    linearization)) or None on failure.  An iterate whose residual leaves
+    the floating-point range (``math.exp`` or ``10**x`` overflowing far
+    outside the domain) counts as a failure too.
     """
     x = x0.copy()
     for it in range(1, opts.max_newton + 1):
         try:
-            res = _scaled_residual(x, params, m_scale)
+            res, lin = _residual(x.tolist(), params, m_scale)
         except (TdePlanktonError, OverflowError):
             return None
-        arc = float(tangent @ (x - plane_point))
-        f = np.concatenate([res, [arc]])
-        if np.max(np.abs(f)) <= opts.corrector_tol:
-            return x, it, res
+        f = (*res, float(tangent @ (x - plane_point)))
+        if all(abs(v) <= opts.corrector_tol for v in f):  # False at a NaN
+            return x, it, (res, lin)
         try:
-            jac = _fd_jacobian(x, params, m_scale, res)
+            jac = _fd_jacobian(x, params, m_scale, res, lin)
         except (TdePlanktonError, OverflowError):
             return None
         full = np.vstack([jac, tangent])
         try:
-            step = np.linalg.solve(full, f)
+            step = np.linalg.solve(full, np.array(f))
         except np.linalg.LinAlgError:
             return None
         x = x - step
@@ -325,14 +337,14 @@ def trace_curve(
     ceiling = equilibria.m_ceiling(params)
     m_scale = _m_scale(params)
     x = _pack(start.as_array(), m_scale)
-    res = _scaled_residual(x, params, m_scale)
+    res, lin = _residual(x.tolist(), params, m_scale)
     res0 = np.max(np.abs(res))
     if res0 > 10 * opts.corrector_tol:
         raise DomainError(f"start point residual {res0:g} is too large to trace from")
 
     points = [_point_from_scaled(x, m_scale)]
     x_start = x.copy()
-    tangent = _tangent(_fd_jacobian(x, params, m_scale, res))
+    tangent = _tangent(_fd_jacobian(x, params, m_scale, res, lin))
     if opts.initial_direction is not None:
         if float(tangent @ np.asarray(opts.initial_direction)) < 0:
             tangent = -tangent
@@ -357,7 +369,7 @@ def trace_curve(
             if h < opts.h_min:
                 return BoundaryCurve(points, CurveEnd.STEP_FAILURE)
             continue
-        x_new, iters, res = got
+        x_new, iters, (res, lin) = got
         pt = _point_from_scaled(x_new, m_scale)
         if pt.omega < OMEGA_FLOOR:
             return BoundaryCurve(points, CurveEnd.OMEGA_COLLAPSE)
@@ -375,7 +387,7 @@ def trace_curve(
 
         points.append(pt)
         steps += 1
-        new_tangent = _tangent(_fd_jacobian(x_new, params, m_scale, res))
+        new_tangent = _tangent(_fd_jacobian(x_new, params, m_scale, res, lin))
         if float(new_tangent @ tangent) < 0:
             new_tangent = -new_tangent
         x, tangent = x_new, new_tangent

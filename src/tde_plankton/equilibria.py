@@ -125,21 +125,17 @@ def thresholds(params: ModelParams) -> ThresholdReport:
     return ThresholdReport(nt1=compute_nt1(params), nt2=nt2, m_ceiling=ceiling)
 
 
-def _discount_at(p_star: float, m: float, params: ModelParams) -> float:
-    r = model.r_growth(p_star, params)
-    if params.delta0 == 0.0:
-        return m / r
-    return (1.0 - math.exp(-params.delta0 * m / r)) / params.delta0
-
-
 def maturity_discount(p_star: float, params: ModelParams) -> float:
     """The factor (1 - exp(-delta0*m/R))/delta0, read as m/R when delta0 = 0."""
-    return _discount_at(p_star, params.m, params)
+    r = model.r_growth(p_star, params)
+    if params.delta0 == 0.0:
+        return params.m / r
+    return (1.0 - math.exp(-params.delta0 * params.m / r)) / params.delta0
 
 
 def residuals_at(
     n: float, p: float, z: float, m: float, n_total: float, params: ModelParams
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Steady-state residuals with maturity and biomass passed explicitly.
 
     Used by the boundary continuation, whose probe points carry their own
@@ -149,16 +145,18 @@ def residuals_at(
     h = model.h_grazing(p, params)
     r = model.r_growth(p, params)
     surv = math.exp(-params.delta0 * m / r)
+    # maturity_discount at this m, from the survival already at hand
+    disc = m / r if params.delta0 == 0.0 else (1.0 - surv) / params.delta0
     gg = params.gamma * params.g
-    r1 = n + p + z + gg * z * h * _discount_at(p, m, params) - n_total
+    r1 = n + p + z + gg * z * h * disc - n_total
     r2 = params.mu * p * f - params.lam * p - params.g * z * h
     r3 = gg * surv * z * h - params.delta * z
-    return np.array([r1, r2, r3])
+    return r1, r2, r3
 
 
 def equilibrium_residuals(
     n: float, p: float, z: float, params: ModelParams
-) -> np.ndarray:
+) -> tuple[float, float, float]:
     """Residuals of the three steady-state equations at (n, p, z).
 
     The biomass equation uses the conservation form (with the delta0 = 0

@@ -15,7 +15,8 @@ an entire function of s once the removable singularity at s = 0 is handled.
 A2 and A3 act on the zooplankton row only, so it is Q(s) - exp(-s*T) R(s)
 - K(s) S(s) with polynomials fixed once per linearization.  :func:`char_fn`
 evaluates it as that row's entries times their cofactor polynomials (its
-rounding in step with the Hadamard yardstick's row norms), the entries
+rounding in step with the Hadamard yardstick's row norms; at a scalar both
+come from one pass, :func:`char_fn_and_scale`), the entries
 computed once in plain floats by :func:`linearization_at`, the only
 constructor of :class:`LinearizationData`, which rebuilds its matrices from
 them on demand.  Roots come from grid-seeded Newton iteration, each pass
@@ -195,38 +196,50 @@ def _bottom_row(s, e, kern, form: CharForm) -> tuple:
             -a22 - b22 * e - c22 * kern + s)
 
 
-def _expand(s, e, kern, form: CharForm):
-    x0, x1, x2 = _bottom_row(s, e, kern, form)
+def _expand(s, row, form: CharForm):
+    """The zooplankton row times its cofactor polynomials."""
+    x0, x1, x2 = row
     p0, v0, p1, v1, u2, v2 = form.cofactors
     return x0 * (p0 * s + v0) + x1 * (p1 * s + v1) + x2 * ((s + u2) * s + v2)
-
-
-def _sq_abs(z):
-    h = abs(z)
-    return h * h  # not h**2, which raises OverflowError on Python floats
 
 
 def _hadamard(s, row, form: CharForm):
     """Product of the three row norms, given the zooplankton row."""
     sqrt = np.sqrt if isinstance(s, np.ndarray) else math.sqrt
     a00, a01, a02, a10, a11, a12 = form.top
-    return (sqrt(_sq_abs(s - a00) + a01 * a01 + a02 * a02)
-            * sqrt(a10 * a10 + _sq_abs(s - a11) + a12 * a12)
-            * sqrt(_sq_abs(row[0]) + _sq_abs(row[1]) + _sq_abs(row[2])))
+    # h * h, not h**2, which raises OverflowError on Python floats
+    h0, h1, x0, x1, x2 = abs(s - a00), abs(s - a11), abs(row[0]), abs(row[1]), abs(row[2])
+    return (sqrt(h0 * h0 + a01 * a01 + a02 * a02)
+            * sqrt(a10 * a10 + h1 * h1 + a12 * a12)
+            * sqrt(x0 * x0 + x1 * x1 + x2 * x2))
 
 
-def _evaluate(s, lin: LinearizationData, fn, nan):
-    """fn(s, exp(-s*T), K(s), form) in plain complex arithmetic at a scalar
-    (``nan`` where cmath leaves the float range), in numpy at an array."""
+def char_fn_and_scale(s: complex, lin: LinearizationData) -> tuple[complex, float]:
+    """char_fn and char_scale at one complex point, from one pass: exp(-s*T),
+    K(s) and the zooplankton row serve both.  Each is NaN where its own
+    arithmetic leaves the float range (cmath.exp, or abs() in a row norm)."""
+    try:
+        e, kern = _delay_terms_scalar(s, lin.t_delay)
+    except (OverflowError, ValueError):
+        return complex(math.nan, math.nan), math.nan
+    form = lin.char_form
+    row = _bottom_row(s, e, kern, form)
+    try:
+        scale = _hadamard(s, row, form)
+    except OverflowError:
+        scale = math.nan
+    return _expand(s, row, form), scale
+
+
+def _evaluate(s, lin: LinearizationData, fn, pick: int):
+    """The ``pick`` part of char_fn_and_scale at a scalar; fn(s, zooplankton
+    row, form) in numpy at an array."""
     if isinstance(s, (complex, float, int)) or np.ndim(s) == 0:
-        s = complex(s)
-        try:
-            return fn(s, *_delay_terms_scalar(s, lin.t_delay), lin.char_form)
-        except (OverflowError, ValueError):
-            return nan
+        return char_fn_and_scale(complex(s), lin)[pick]
     s = np.asarray(s, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return fn(s, *_delay_terms(s, lin.t_delay)[:2], lin.char_form)
+        e, kern, _ = _delay_terms(s, lin.t_delay)
+        return fn(s, _bottom_row(s, e, kern, lin.char_form), lin.char_form)
 
 
 def char_fn(s, lin: LinearizationData):
@@ -234,16 +247,12 @@ def char_fn(s, lin: LinearizationData):
 
     Far-field points, where exp(-s*T) overflows, give non-finite values.
     """
-    return _evaluate(s, lin, _expand, complex(math.nan, math.nan))
-
-
-def _scale(s, e, kern, form: CharForm):
-    return _hadamard(s, _bottom_row(s, e, kern, form), form)
+    return _evaluate(s, lin, _expand, 0)
 
 
 def char_scale(s, lin: LinearizationData):
     """Hadamard bound on |char_fn|: product of row norms. Relative-error yardstick."""
-    return _evaluate(s, lin, _scale, math.nan)
+    return _evaluate(s, lin, _hadamard, 1)
 
 
 def _bound(s, e, kern, form: CharForm):
@@ -314,7 +323,8 @@ def _newton_batch(
             go = finite & (np.abs(step) > tol * np.abs(x_new))
             moving, x = moving[go], x_new[go]
     f = char_fn(s, lin)
-    bound = _evaluate(s, lin, _bound, math.nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        bound = _bound(s, *_delay_terms(s, lin.t_delay)[:2], lin.char_form)
     ok = (np.isfinite(s) & np.isfinite(f) & np.isfinite(bound)
           & (np.abs(f) <= tol * np.maximum(bound, 1e-300)))
     return s, ok
@@ -335,15 +345,31 @@ def refine_root(
 
 
 def _dedupe(roots: np.ndarray) -> np.ndarray:
+    """Finite roots sorted by (real, imag), each kept when it lies farther
+    than DEDUPE_RTOL*max(1, |r|) from the last root kept before it.
+
+    A root whose real part clears its predecessor's by more than that
+    radius is kept whatever came before, so it heads a run; a run whose
+    members all lie within their radius of its head keeps the head alone,
+    and only the other runs are walked root by root.
+    """
     if roots.size == 0:
         return roots
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-    keep = [roots[0]]
-    for r in roots[1:]:
-        if abs(r - keep[-1]) > DEDUPE_RTOL * max(1.0, abs(r)):
-            keep.append(r)
-    return np.array(keep)
+    roots = roots[np.lexsort((roots.imag, roots.real))]
+    radius = DEDUPE_RTOL * np.maximum(1.0, np.abs(roots))
+    keep = np.empty(roots.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(roots.real) > radius[1:]
+    heads = np.flatnonzero(keep)
+    run = np.cumsum(keep) - 1
+    stops = np.append(heads[1:], roots.size)
+    for k in np.unique(run[np.abs(roots - roots[heads[run]]) > radius]).tolist():
+        last = roots[heads[k]]
+        for i in range(heads[k] + 1, stops[k]):
+            if abs(roots[i] - last) > radius[i]:
+                keep[i] = True
+                last = roots[i]
+    return roots[keep]
 
 
 @dataclass(frozen=True)

@@ -144,14 +144,55 @@ def _matrix_linearization(n_star, p_star, z_star, m, params):
 
 
 def _matrix_scaled_residual(x, params, m_scale):
-    u = continuation._unpack(x, m_scale)
-    n, p, z, m, nt, omega = u
-    lin = _matrix_linearization(float(n), float(p), float(z), float(m), params)
-    raw = continuation.hopf_residual(u, params, lin)
+    """The ndarray residual the float core replaced: the unpacked point as an
+    array, the steady-state residuals through the public model responses,
+    and char_fn and char_scale each from its own scalar pass."""
+    nt = 10.0 ** float(x[4])
+    u = np.array([x[0] * nt, x[1] * nt, x[2] * nt, x[3] * m_scale, nt, x[5]])
+    n, p, z, m, nt, omega = u.tolist()
+    lin = _matrix_linearization(n, p, z, m, params)
+    f, h, r = (float(fn(v, params)) for fn, v in ((model.f_uptake, n),
+                                                    (model.h_grazing, p),
+                                                    (model.r_growth, p)))
+    surv = math.exp(-params.delta0 * m / r)
+    disc = m / r if params.delta0 == 0.0 else (1.0 - surv) / params.delta0
+    gg = params.gamma * params.g
+    eq_res = np.array([n + p + z + gg * z * h * disc - nt,
+                       params.mu * p * f - params.lam * p - params.g * z * h,
+                       gg * surv * z * h - params.delta * z])
+
+    def scalar_pass(fn, nan):
+        s, form = 1j * omega, lin.char_form
+        try:
+            e, kern = linearize._delay_terms_scalar(s, lin.t_delay)
+            return fn(s, linearize._bottom_row(s, e, kern, form), form)
+        except (OverflowError, ValueError):
+            return nan
+
+    val = scalar_pass(linearize._expand, complex(math.nan, math.nan))
     eq_scale = max(1.0, nt)
-    ch_scale = max(1.0, linearize.char_scale(1j * omega, lin))
-    return np.array([raw[0] / eq_scale, raw[1] / eq_scale, raw[2] / eq_scale,
-                     raw[3] / ch_scale, raw[4] / ch_scale])
+    ch_scale = max(1.0, scalar_pass(linearize._hadamard, math.nan))
+    return np.array([eq_res[0] / eq_scale, eq_res[1] / eq_scale, eq_res[2] / eq_scale,
+                     val.real / ch_scale, val.imag / ch_scale])
+
+
+def _matrix_fd_jacobian(x, params, m_scale, base):
+    """The column-by-column ndarray Jacobian the list-built one replaced."""
+    jac = np.empty((5, x.size))
+    for j in range(x.size):
+        xs = x.copy()
+        xs[j] += continuation.FD_STEP
+        jac[:, j] = (_matrix_scaled_residual(xs, params, m_scale) - base) / continuation.FD_STEP
+    return jac
+
+
+def _fast_fd_jacobian(x, params, m_scale):
+    base, lin = continuation._residual(x.tolist(), params, m_scale)
+    return continuation._fd_jacobian(x, params, m_scale, base, lin)
+
+
+def _slow_fd_jacobian(x, params, m_scale):
+    return _matrix_fd_jacobian(x, params, m_scale, _matrix_scaled_residual(x, params, m_scale))
 
 
 def _outcome(fn, *args):
@@ -162,8 +203,42 @@ def _outcome(fn, *args):
         return type(err)
 
 
+#: (axis, value, r_floor, error): a fault put into a boundary point, the
+#: axis of u set to value (n or p) or of x (scaled log10 n_total), or a
+#: raised growth-rate floor, and the error the residual raises there.
+ERROR_CASES = [
+    (1, 0.0, None, DomainError),  # p = 0
+    (1, -0.1, None, DomainError),  # p < 0
+    (0, -0.1, None, DomainError),  # n < 0
+    (1, 1e-300, None, SingularRateError),  # R(p) below the default floor
+    (None, None, 2.0, SingularRateError),  # R(p) below a floor above sup R
+    (4, 400.0, None, OverflowError),  # log10 n_total: 10**400 overflows
+]
+
+
+def _faulty_point(point, name, fault):
+    """(x, params, m_scale, expected error type or bytes) for ``fault`` put
+    into ``point`` of preset ``name``."""
+    axis, value, r_floor, error = fault
+    params = _preset_params(name)
+    if r_floor is not None:
+        params = replace(params, r_floor=r_floor)
+    m_scale = continuation._m_scale(params)
+    u = np.array(point, dtype=float)
+    if axis in (0, 1):
+        u[axis] = value
+    x = continuation._pack(u, m_scale)
+    if axis == 4:
+        x[4] = value
+    if error is SingularRateError and params.l is None and r_floor is None:
+        error = bytes  # the constant response R = 1 never drops below the floor
+    return x, params, m_scale, error
+
+
 class TestScaledResidualFastPath:
-    """The closed-form residual against the full matrix linearization."""
+    """The float residual and its list-built Jacobian against the ndarray
+    residual, with the full matrix linearization, and its column-by-column
+    Jacobian."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -180,7 +255,7 @@ class TestScaledResidualFastPath:
         assert isinstance(got, bytes)
         assert got == _outcome(_matrix_scaled_residual, x, params, m_scale)
         # the matrices built from the kernel's entries are the old ones too
-        n, p, z, m = continuation._unpack(x, m_scale).tolist()[:4]
+        n, p, z, m = continuation._unpack(x.tolist(), m_scale)[:4]
         new, old = (build(n, p, z, m, params)
                     for build in (linearize.linearization_at, _matrix_linearization))
         for name in ("a1", "a2", "a3"):
@@ -190,34 +265,35 @@ class TestScaledResidualFastPath:
         assert new.char_form == old.char_form
 
     @pytest.mark.parametrize("name", list(BOUNDARY_POINTS))
-    @pytest.mark.parametrize("axis, value, r_floor, error", [
-        (1, 0.0, None, DomainError),  # p = 0
-        (1, -0.1, None, DomainError),  # p < 0
-        (0, -0.1, None, DomainError),  # n < 0
-        (1, 1e-300, None, SingularRateError),  # R(p) below the default floor
-        (None, None, 2.0, SingularRateError),  # R(p) below a floor above sup R
-        (4, 400.0, None, OverflowError),  # log10 n_total: 10**400 overflows
-    ])
-    def test_same_errors(self, name, axis, value, r_floor, error):
-        params = _preset_params(name)
-        if r_floor is not None:
-            params = replace(params, r_floor=r_floor)
-        m_scale = continuation._m_scale(params)
-        u = np.array(BOUNDARY_POINTS[name][0])
-        if axis in (0, 1):
-            u[axis] = value
-        x = continuation._pack(u, m_scale)
-        if axis == 4:
-            x[4] = value
-        if error is SingularRateError and params.l is None and r_floor is None:
-            error = bytes  # the constant response R = 1 never drops below the floor
+    @pytest.mark.parametrize("fault", ERROR_CASES)
+    def test_same_errors(self, name, fault):
+        x, params, m_scale, error = _faulty_point(BOUNDARY_POINTS[name][0], name, fault)
         got = _outcome(continuation._scaled_residual, x, params, m_scale)
         assert got == _outcome(_matrix_scaled_residual, x, params, m_scale)
         assert (type(got) if isinstance(got, bytes) else got) is error
         if error in (DomainError, SingularRateError):  # raised by the kernel itself
-            n, p, z, m = continuation._unpack(x, m_scale).tolist()[:4]
+            n, p, z, m = continuation._unpack(x.tolist(), m_scale)[:4]
             with pytest.raises(error):
                 linearize.linearization_at(n, p, z, m, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(BOUNDARY_CASES),
+        rel=st.lists(st.floats(-0.1, 0.1), min_size=6, max_size=6),
+        fault=st.sampled_from([None, *ERROR_CASES]),
+    )
+    def test_jacobian_bit_identical_or_same_error(self, case, rel, fault):
+        name, point = case
+        u = np.array(point) * (1.0 + np.array(rel))
+        if fault is None:
+            params = _preset_params(name)
+            m_scale = continuation._m_scale(params)
+            x, error = continuation._pack(u, m_scale), bytes
+        else:
+            x, params, m_scale, error = _faulty_point(u, name, fault)
+        got = _outcome(_fast_fd_jacobian, x, params, m_scale)
+        assert got == _outcome(_slow_fd_jacobian, x, params, m_scale)
+        assert (type(got) if isinstance(got, bytes) else got) is error
 
 
 class TestNewtonCorrector:
@@ -393,9 +469,9 @@ class TestTraceCurve:
             if d < best_d:
                 best, best_d = foot, d
         assert best_d <= opts.h_max  # the reverse branch passes by the start
-        tangent = continuation._tangent(continuation._fd_jacobian(
-            x_start, params, m_scale, continuation._scaled_residual(x_start, params, m_scale)
-        ))
+        base, lin = continuation._residual(x_start.tolist(), params, m_scale)
+        tangent = continuation._tangent(
+            continuation._fd_jacobian(x_start, params, m_scale, base, lin))
         proj = continuation.project_onto_curve(
             best, x_start, tangent, params, m_scale, opts
         )

@@ -90,15 +90,33 @@ class TestCharFn:
             poly = complex(np.prod(s - ev))
             assert linearize.char_fn(s, lin) == pytest.approx(poly, rel=1e-10)
 
-    def test_kernel_branches_agree_at_switch(self, table1):
+    @pytest.mark.parametrize("side, dkern_rtol", [
+        (1.0 - 1e-9, 1e-8),  # series: drops s^2 T^4 / 8, a relative (sT)^2 / 4 = 2.5e-9
+        (1.0 + 1e-9, 1e-7),  # quotient: 1 - exp(-sT) cancels, about 2 eps / (sT)^2 = 2e-8
+    ])
+    def test_kernel_branches_agree_at_switch(self, table1, side, dkern_rtol):
+        """The package's kernels just inside and just outside SERIES_SWITCH
+        against the direct quotients K = (1 - e)/s and K' = (T e - K)/s,
+        e = exp(-s*T), taken in 40-digit arithmetic."""
+        mpmath = pytest.importorskip("mpmath")
         _, _, lin = e2_lin(table1)
         big_t = lin.t_delay
-        s = (linearize.SERIES_SWITCH / big_t) * np.exp(
+        s = (side * linearize.SERIES_SWITCH / big_t) * np.exp(
             1j * np.linspace(0, 2 * math.pi, 64)
         )
-        series = big_t - s * big_t ** 2 / 2.0 + s ** 2 * big_t ** 3 / 6.0
-        direct = (1.0 - np.exp(-s * big_t)) / s
-        assert np.max(np.abs(series - direct) / np.abs(direct)) <= 1e-10
+        with mpmath.workdps(40):
+            exact = []
+            for x in s.tolist():
+                x, t = mpmath.mpc(x), mpmath.mpf(big_t)
+                e = mpmath.exp(-x * t)
+                kern = (1 - e) / x
+                exact.append((complex(kern), complex((t * e - kern) / x)))
+        kern, dkern = np.array(exact).T
+        _, got_kern, got_dkern = linearize._delay_terms(s, big_t)
+        scalar = np.array([linearize._delay_terms_scalar(x, big_t)[1] for x in s.tolist()])
+        for got in (got_kern, scalar):
+            assert np.max(np.abs(got - kern) / np.abs(kern)) <= 1e-10
+        assert np.max(np.abs(got_dkern - dkern) / np.abs(dkern)) <= dkern_rtol
 
     @settings(max_examples=60, deadline=None)
     @given(re=st.floats(-8, 8), im=st.floats(-8, 8))
@@ -397,6 +415,58 @@ class TestRoots:
         assert abs(linearize.char_fn(0j, lin0)) == 0.0
         # ...and the verdict ignores it
         assert linearize.rightmost_real_part(lin0, grid_n=128) < 0
+
+
+def dedupe_loop(roots):
+    """The one-root-at-a-time dedupe the vectorised one replaced."""
+    if roots.size == 0:
+        return roots
+    roots = roots[np.lexsort((roots.imag, roots.real))]
+    keep = [roots[0]]
+    for r in roots[1:]:
+        if abs(r - keep[-1]) > linearize.DEDUPE_RTOL * max(1.0, abs(r)):
+            keep.append(r)
+    return np.array(keep)
+
+
+@st.composite
+def root_chains(draw):
+    """Clusters of near-duplicate roots: each a chain of steps of 0.2 to 1.5
+    radii in random directions, so some chains spread beyond one radius;
+    centres may share a real part or sit within a radius of each other."""
+    roots = []
+    for _ in range(draw(st.integers(1, 12))):
+        centre = complex(draw(st.floats(-50, 5)), draw(st.floats(0, 80)))
+        if roots and draw(st.booleans()):  # a centre on an earlier root's real part
+            centre = complex(roots[-1].real, centre.imag)
+        radius = linearize.DEDUPE_RTOL * max(1.0, abs(centre))
+        r = centre
+        for _ in range(draw(st.integers(1, 12))):
+            roots.append(r)
+            step = radius * draw(st.floats(0.2, 1.5))
+            r += step * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+    perm = draw(st.permutations(range(len(roots))))
+    return np.array(roots)[list(perm)]
+
+
+class TestDedupe:
+    @settings(max_examples=300, deadline=None)
+    @given(roots=root_chains())
+    def test_matches_the_loop_on_chains(self, roots):
+        got, want = linearize._dedupe(roots), dedupe_loop(roots)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("delta0, l, m, nt", [
+        (0.17, 0.159, 6.0, 3.0), (0.0, 0.159, 6.0, 3.0), (0.17, None, 2.0, 1.0),
+    ])
+    def test_matches_the_loop_on_scan_iterates(self, table1, delta0, l, m, nt):
+        _, _, lin = e2_lin(table1, delta0=delta0, l=l, m=m, nt=nt)
+        roots, ok = linearize._newton_batch(scan_seeds(lin, 512), lin)
+        kept = np.where(roots[ok].imag < 0, np.conj(roots[ok]), roots[ok])
+        assert linearize._dedupe(kept).tobytes() == dedupe_loop(kept).tobytes()
+
+    def test_empty(self):
+        assert linearize._dedupe(np.array([], dtype=complex)).size == 0
 
 
 class TestScanReuse:

@@ -47,3 +47,10 @@ def test_readme_library_quick_start(capsys):
     verdict, frequency = (float(line) for line in capsys.readouterr().out.split())
     assert verdict < 0  # locally stable
     assert frequency == pytest.approx(namespace["start"].omega, rel=0.01)
+
+
+def test_time_layers_one_round(capsys):
+    script = _load("time_layers")
+    times = script.run(repeats=1)
+    assert len(times) == 9 and all(0 < t < float("inf") for t in times.values())
+    assert capsys.readouterr().out.count(" us\n") == 9
