@@ -6,9 +6,9 @@ simulation of the transformed fixed-delay system.
 """
 
 from .continuation import BoundaryCurve, BoundaryPoint, TraceOptions
-from .equilibria import EquilibriumKind, EquilibriumPoint, ThresholdReport
+from .equilibria import EquilibriumKind, EquilibriumPoint
 from .linearize import LinearizationData
-from .model import ModelParams, ResponseKind, StateNPZ
+from .model import ModelParams, StateNPZ
 from .simulate import HistorySpec, Termination, Trajectory
 
 __all__ = [
@@ -19,10 +19,8 @@ __all__ = [
     "HistorySpec",
     "LinearizationData",
     "ModelParams",
-    "ResponseKind",
     "StateNPZ",
     "Termination",
-    "ThresholdReport",
     "TraceOptions",
     "Trajectory",
 ]

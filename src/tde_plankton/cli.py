@@ -121,6 +121,10 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
     else:
         windows = list(tr.omega_windows)
 
+    # the stepping options TraceSettings shares with TraceOptions, by name
+    stepping = {f.name: getattr(tr, f.name) for f in fields(TraceOptions) if hasattr(tr, f.name)}
+    forward = TraceOptions(**stepping | {"m_max": m_max})
+    backward = replace(forward, orientation=-1)
     failures: list[dict] = []
 
     def seed_one(m, window, lins):
@@ -129,7 +133,7 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
             lo = max(tr.nt_min, nt2 * 1.001)
             return continuation.find_start(
                 params, m, (lo, tr.nt_max), omega_window=window, grid_n=tr.grid_n,
-                lins=lins,
+                opts=forward, lins=lins,
             )
         except TdePlanktonError as err:
             failures.append(
@@ -143,11 +147,6 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
 
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         starts = [s for group in pool.map(seed_m, m_seeds) for s in group if s is not None]
-
-    # the stepping options TraceSettings shares with TraceOptions, by name
-    stepping = {f.name: getattr(tr, f.name) for f in fields(TraceOptions) if hasattr(tr, f.name)}
-    forward = TraceOptions(**stepping | {"m_max": m_max})
-    backward = replace(forward, orientation=-1)
 
     def trace_one(start):
         fwd = continuation.trace_curve(start, params, forward)
@@ -165,13 +164,10 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
     back_terms = {id(c): b for (c, b) in traced}
     kept = continuation.deduplicate_curves(merged, params, tol=tr.dedupe_tol)
 
-    m_scale = continuation._m_scale(params)
     curve_rows, freq_rows, curve_meta = [], [], []
     for cid, curve in enumerate(kept):
         for idx, p in enumerate(curve.points):
-            res = float(np.max(np.abs(continuation._scaled_residual(
-                continuation._pack(p.as_array(), m_scale), params, m_scale
-            ))))
+            res = continuation.point_residual(p, params)
             curve_rows.append(
                 [cid, idx, p.m, p.n_total, p.omega, p.n_star, p.p_star, p.z_star, res]
             )

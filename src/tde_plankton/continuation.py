@@ -43,6 +43,16 @@ OMEGA_FLOOR = 1e-4
 #: Forward finite-difference step per scaled working variable.
 FD_STEP = 1e-7
 
+#: Relative width at which the start search's root solve in n_total stops.
+BISECT_RTOL = 1e-3
+
+#: Accepted steps before a trace may end by closing on its start.
+CLOSED_LOOP_MIN_STEPS = 10
+
+#: Share of one curve's points near the other's polyline that makes two
+#: curves one locus.
+INTERLEAVE_FRACTION = 0.9
+
 
 class CurveEnd(Enum):
     DOMAIN_BOUND = "domain_bound"
@@ -91,30 +101,23 @@ class TraceOptions:
     m_min: float = 0.0
     m_max: float = math.inf
     orientation: int = 1
-    closed_loop_min_steps: int = 10
-    #: optional scaled-coordinate direction that orients the first tangent;
-    #: needed to retrace a curve from a point just past a fold, where the
-    #: default axis-based orientation rule is ambiguous
-    initial_direction: tuple[float, ...] | None = None
 
 
 def hopf_residual(
-    u, params: ModelParams, lin: linearize.LinearizationData | None = None,
+    u, params: ModelParams, lin: linearize.LinearizationData,
     eq_res: tuple | None = None,
 ) -> tuple[float, ...]:
     """Scaled five-component residual at u = (n, p, z, m, n_total, omega).
 
     Components 1-3 are the steady-state residuals over max(1, n_total); 4-5
     the real and imaginary parts of the characteristic function at
-    s = i*omega over max(1, its Hadamard bound), for the linearization built
-    at (n, p, z, m).  A caller that already holds that linearization, or
-    components 1-3, passes them as ``lin`` and ``eq_res``.
+    s = i*omega over max(1, its Hadamard bound), for ``lin``, the
+    linearization at (n, p, z, m).  A caller that already holds components
+    1-3 passes them as ``eq_res``.
     """
     n, p, z, m, nt, omega = map(float, u)
     if p <= 0:
         raise DomainError("hopf_residual requires p_star > 0")
-    if lin is None:
-        lin = linearize.linearization_at(n, p, z, m, params)
     if eq_res is None:
         eq_scale = max(1.0, nt)
         r1, r2, r3 = equilibria.residuals_at(n, p, z, m, nt, params)
@@ -146,8 +149,11 @@ def _residual(x: list, params: ModelParams, m_scale: float) -> tuple:
     return hopf_residual(u, params, lin), lin
 
 
-def _scaled_residual(x: np.ndarray, params: ModelParams, m_scale: float) -> np.ndarray:
-    return np.array(_residual(x.tolist(), params, m_scale)[0])
+def point_residual(pt: BoundaryPoint, params: ModelParams) -> float:
+    """Largest magnitude of the scaled residual at ``pt``; NaN propagates."""
+    m_scale = _m_scale(params)
+    res = _residual(_pack(pt.as_array(), m_scale).tolist(), params, m_scale)[0]
+    return float(np.max(np.abs(res)))
 
 
 def _fd_jacobian(
@@ -257,18 +263,20 @@ def find_start(
     *,
     omega_window: tuple[float, float] | None = None,
     grid_n: int = 256,
-    bisect_rtol: float = 1e-3,
+    opts: TraceOptions | None = None,
     lins: dict | None = None,
 ) -> BoundaryPoint:
     """Locate one boundary point at fixed maturity by a root solve in total biomass.
 
     Brent's method finds where the (optionally frequency-windowed) rightmost
-    real part crosses zero, to ``bisect_rtol`` relative; the stepping
-    corrector then polishes the remaining five unknowns, its arclength row
-    pinning m.  Any failure is a NoConvergeError.
+    real part crosses zero, to BISECT_RTOL relative; the stepping corrector
+    (``opts``' tolerance and iteration cap) then polishes the remaining five
+    unknowns, its arclength row pinning m, to a point :func:`trace_curve`
+    accepts with the same ``opts``.  Any failure is a NoConvergeError.
     ``lins`` maps (m, n_total) to the equilibrium and linearization there;
     calls with the same ``params`` sharing one dict reuse each other's scans.
     """
+    opts = opts or TraceOptions()
     work = replace(params, m=m_fixed)
     lins = {} if lins is None else lins
 
@@ -299,10 +307,10 @@ def find_start(
             f"no stability flip over n_total in ({lo:g}, {hi:g}) at m={m_fixed:g}"
         )
     # the relative width alone ends the solve
-    nt_mid = brentq(inner_signal, lo, hi, xtol=1e-300, rtol=bisect_rtol)
+    nt_mid = brentq(inner_signal, lo, hi, xtol=1e-300, rtol=BISECT_RTOL)
 
     eq, lin = linearized(nt_mid)
-    s_near = linearize._rightmost_root(lin, omega_window, None, grid_n)
+    s_near = linearize._rightmost_root(lin, omega_window, grid_n)
     if s_near is None:
         raise NoConvergeError("no candidate root near the solved crossing")
     omega0 = abs(s_near.imag)
@@ -312,14 +320,14 @@ def find_start(
     # the stepping corrector, its arclength row pinning m
     m_scale = _m_scale(params)
     x0 = _pack(np.array([eq.n_star, eq.p_star, eq.z_star, m_fixed, nt_mid, omega0]), m_scale)
-    got = _newton_corrector(x0, x0, np.eye(6)[3], params, m_scale, TraceOptions())
+    got = _newton_corrector(x0, x0, np.eye(6)[3], params, m_scale, opts)
     if got is None:
         raise NoConvergeError("start-point corrector did not converge")
     n, p, z, _, nt, omega = _unpack(got[0], m_scale)
     pt = BoundaryPoint(n_star=n, p_star=p, z_star=z, m=m_fixed, n_total=nt, omega=abs(omega))
-    check = np.max(np.abs(_scaled_residual(_pack(pt.as_array(), m_scale), params, m_scale)))
-    if check > 1e-9:
-        raise NoConvergeError(f"polished start point residual {check:g} exceeds 1e-9")
+    check, bound = point_residual(pt, params), 10 * opts.corrector_tol
+    if not check <= bound:  # a NaN fails too
+        raise NoConvergeError(f"polished start point residual {check:g} exceeds {bound:g}")
     return pt
 
 
@@ -339,24 +347,18 @@ def trace_curve(
     x = _pack(start.as_array(), m_scale)
     res, lin = _residual(x.tolist(), params, m_scale)
     res0 = np.max(np.abs(res))
-    if res0 > 10 * opts.corrector_tol:
+    if not res0 <= 10 * opts.corrector_tol:  # a NaN fails too
         raise DomainError(f"start point residual {res0:g} is too large to trace from")
 
     points = [_point_from_scaled(x, m_scale)]
     x_start = x.copy()
     tangent = _tangent(_fd_jacobian(x, params, m_scale, res, lin))
-    if opts.initial_direction is not None:
-        if float(tangent @ np.asarray(opts.initial_direction)) < 0:
-            tangent = -tangent
-    else:
-        # deterministic initial orientation: increasing m, tie-broken by biomass
-        ref = tangent[3] if abs(tangent[3]) > 1e-8 else (
-            tangent[4] if abs(tangent[4]) > 1e-8 else tangent[5]
-        )
-        if ref < 0:
-            tangent = -tangent
-        if opts.orientation < 0:
-            tangent = -tangent
+    # deterministic initial orientation: increasing m, tie-broken by biomass
+    ref = tangent[3] if abs(tangent[3]) > 1e-8 else (
+        tangent[4] if abs(tangent[4]) > 1e-8 else tangent[5]
+    )
+    if (ref < 0) != (opts.orientation < 0):
+        tangent = -tangent
     tangent_start = tangent.copy()
 
     h = opts.h_init
@@ -376,7 +378,7 @@ def trace_curve(
         if not _in_domain(pt, ceiling, opts):
             return BoundaryCurve(points, CurveEnd.DOMAIN_BOUND)
 
-        if steps + 1 >= opts.closed_loop_min_steps:
+        if steps + 1 >= CLOSED_LOOP_MIN_STEPS:
             if np.linalg.norm(x_new - x_start) < max(h, 10 * opts.corrector_tol):
                 proj = project_onto_curve(
                     x_new, x_start, tangent_start, params, m_scale, opts
@@ -394,13 +396,6 @@ def trace_curve(
         if iters <= 3:
             h = min(h * 1.3, opts.h_max)
     return BoundaryCurve(points, CurveEnd.MAX_STEPS)
-
-
-def emit_frequency_profile(curve: BoundaryCurve) -> list[tuple[float, float, float]]:
-    """(m, n_total, omega) triples along a curve, for frequency-profile plots."""
-    if not curve.points:
-        raise DomainError("cannot profile an empty curve")
-    return [(p.m, p.n_total, p.omega) for p in curve.points]
 
 
 def _share_near_polyline(q: np.ndarray, line: np.ndarray, tol: float) -> float:
@@ -439,7 +434,6 @@ def curves_interleave(
     b: BoundaryCurve,
     params: ModelParams,
     tol: float = 5e-3,
-    fraction: float = 0.9,
 ) -> bool:
     """True when most points of either curve hug the other's polyline.
 
@@ -450,8 +444,8 @@ def curves_interleave(
     m_scale = _m_scale(params)
     pa, pb = _profile_coords(a.points, m_scale), _profile_coords(b.points, m_scale)
     return (
-        _share_near_polyline(pa, pb, tol) >= fraction
-        or _share_near_polyline(pb, pa, tol) >= fraction
+        _share_near_polyline(pa, pb, tol) >= INTERLEAVE_FRACTION
+        or _share_near_polyline(pb, pa, tol) >= INTERLEAVE_FRACTION
     )
 
 

@@ -48,15 +48,6 @@ class EquilibriumPoint:
 
 
 @dataclass(frozen=True)
-class ThresholdReport:
-    """Critical biomass levels and the maturity ceiling for the given rates."""
-
-    nt1: float
-    nt2: float | None
-    m_ceiling: float
-
-
-@dataclass(frozen=True)
 class SweepRow:
     n_total: float
     kind: str
@@ -119,12 +110,6 @@ def compute_nt2(params: ModelParams) -> float:
     return compute_nt1(params) + solve_p2star(params)
 
 
-def thresholds(params: ModelParams) -> ThresholdReport:
-    ceiling = m_ceiling(params)
-    nt2 = compute_nt2(params) if params.m < ceiling else None
-    return ThresholdReport(nt1=compute_nt1(params), nt2=nt2, m_ceiling=ceiling)
-
-
 def maturity_discount(p_star: float, params: ModelParams) -> float:
     """The factor (1 - exp(-delta0*m/R))/delta0, read as m/R when delta0 = 0."""
     r = model.r_growth(p_star, params)
@@ -136,10 +121,14 @@ def maturity_discount(p_star: float, params: ModelParams) -> float:
 def residuals_at(
     n: float, p: float, z: float, m: float, n_total: float, params: ModelParams
 ) -> tuple[float, float, float]:
-    """Steady-state residuals with maturity and biomass passed explicitly.
+    """Residuals of the three steady-state equations at (n, p, z), with
+    maturity and biomass passed explicitly.
 
-    Used by the boundary continuation, whose probe points carry their own
-    (m, n_total) and may momentarily sit outside the validated parameter box.
+    The biomass equation uses the conservation form (with the delta0 = 0
+    replacement of the juvenile discount), so the triple is meaningful for
+    zero juvenile mortality as well.  The boundary continuation's probe
+    points carry their own (m, n_total) and may momentarily sit outside the
+    validated parameter box.
     """
     f = model.f_uptake(n, params)
     h = model.h_grazing(p, params)
@@ -152,18 +141,6 @@ def residuals_at(
     r2 = params.mu * p * f - params.lam * p - params.g * z * h
     r3 = gg * surv * z * h - params.delta * z
     return r1, r2, r3
-
-
-def equilibrium_residuals(
-    n: float, p: float, z: float, params: ModelParams
-) -> tuple[float, float, float]:
-    """Residuals of the three steady-state equations at (n, p, z).
-
-    The biomass equation uses the conservation form (with the delta0 = 0
-    replacement of the juvenile discount), so the triple is meaningful for
-    zero juvenile mortality as well.
-    """
-    return residuals_at(n, p, z, params.m, params.n_total, params)
 
 
 def limit_point(params: ModelParams) -> EquilibriumPoint:
@@ -187,7 +164,8 @@ def solve_e1(params: ModelParams) -> EquilibriumPoint:
         )
     n_star = nt1
     p_star = params.n_total - nt1
-    res = float(np.max(np.abs(equilibrium_residuals(n_star, p_star, 0.0, params))))
+    res = float(np.max(np.abs(
+        residuals_at(n_star, p_star, 0.0, params.m, params.n_total, params))))
     return EquilibriumPoint(
         kind=EquilibriumKind.E1,
         n_star=n_star,
@@ -229,7 +207,8 @@ def solve_e2(params: ModelParams) -> EquilibriumPoint:
 
     n_star = brentq(balance, nt1, params.n_total, xtol=1e-300, rtol=BRENT_RTOL)
     z_star = _z_from_n(n_star, p2, params)
-    res = float(np.max(np.abs(equilibrium_residuals(n_star, p2, z_star, params))))
+    res = float(np.max(np.abs(
+        residuals_at(n_star, p2, z_star, params.m, params.n_total, params))))
     return EquilibriumPoint(
         kind=EquilibriumKind.E2,
         n_star=n_star,

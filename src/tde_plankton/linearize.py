@@ -44,7 +44,7 @@ from scipy.optimize import brentq
 
 from . import model
 from .equilibria import EquilibriumKind, EquilibriumPoint
-from .exceptions import BracketError, DomainError, NoConvergeError, SingularRateError
+from .exceptions import BracketError, DomainError, SingularRateError
 from .model import ModelParams
 
 #: |s|*T below which the kernel (1-exp(-s*T))/s switches to its power series.
@@ -107,7 +107,7 @@ class LinearizationData:
         return _char_poly(self.char_form)
 
     @cached_property
-    def scans(self) -> dict:  # (omega_max, grid_n) -> RootScan
+    def scans(self) -> dict:  # grid_n -> RootScan
         return {}
 
     @property
@@ -330,20 +330,6 @@ def _newton_batch(
     return s, ok
 
 
-def refine_root(
-    s0: complex,
-    lin: LinearizationData,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> complex:
-    """Newton-refine a single root seed; NoConvergeError after max_iter."""
-    roots, ok = _newton_batch(np.array([s0]), lin, tol=tol, max_iter=max_iter)
-    if not ok[0]:
-        raise NoConvergeError(f"no root near {s0!r} after {max_iter} iterations")
-    return complex(roots[0])
-
-
 def _dedupe(roots: np.ndarray) -> np.ndarray:
     """Finite roots sorted by (real, imag), each kept when it lies farther
     than DEDUPE_RTOL*max(1, |r|) from the last root kept before it.
@@ -387,22 +373,18 @@ def default_omega_max(lin: LinearizationData) -> float:
     return 10.0 * max(rates)
 
 
-def scan_roots(
-    lin: LinearizationData,
-    omega_max: float | None = None,
-    grid_n: int = 512,
-) -> RootScan:
-    """Newton root sweep from imaginary-axis seeds plus a real-axis line.
+def scan_roots(lin: LinearizationData, grid_n: int = 512) -> RootScan:
+    """Newton root sweep from imaginary-axis seeds up to
+    :func:`default_omega_max` plus a real-axis line.
 
     Kept on ``lin``: a repeat returns the same scan, with read-only roots.
     """
     if grid_n < 64:
         raise DomainError("grid_n must be at least 64")
-    if omega_max is None:
-        omega_max = default_omega_max(lin)
-    scan = lin.scans.get((omega_max, grid_n))
+    scan = lin.scans.get(grid_n)
     if scan is not None:
         return scan
+    omega_max = default_omega_max(lin)
     seeds = np.concatenate(
         [
             1j * np.linspace(0.0, omega_max, grid_n),
@@ -422,7 +404,7 @@ def scan_roots(
     kept = np.where(np.abs(step) <= DEDUPE_RTOL * np.maximum(1.0, np.abs(kept)), kept - step, kept)
     kept = np.where(kept.imag < 0, np.conj(kept), kept)
     kept.flags.writeable = False
-    scan = lin.scans[omega_max, grid_n] = RootScan(roots=kept, coverage=coverage)
+    scan = lin.scans[grid_n] = RootScan(roots=kept, coverage=coverage)
     return scan
 
 
@@ -435,14 +417,11 @@ def _drop_structural_zero(roots: np.ndarray, lin: LinearizationData) -> np.ndarr
 
 
 def _rightmost_root(
-    lin: LinearizationData,
-    omega_window: tuple[float, float] | None,
-    omega_max: float | None,
-    grid_n: int,
+    lin: LinearizationData, omega_window: tuple[float, float] | None, grid_n: int
 ) -> complex | None:
     """Rightmost scanned root, structural zero dropped, frequency optionally
     windowed to [lo, hi); None when no root is left."""
-    roots = _drop_structural_zero(scan_roots(lin, omega_max=omega_max, grid_n=grid_n).roots, lin)
+    roots = _drop_structural_zero(scan_roots(lin, grid_n=grid_n).roots, lin)
     if omega_window is not None:
         roots = roots[(roots.imag >= omega_window[0]) & (roots.imag < omega_window[1])]
     if roots.size == 0:
@@ -450,25 +429,18 @@ def _rightmost_root(
     return complex(roots[np.argmax(roots.real)])
 
 
-def rightmost_real_part(
-    lin: LinearizationData,
-    omega_max: float | None = None,
-    grid_n: int = 512,
-) -> float:
+def rightmost_real_part(lin: LinearizationData, grid_n: int = 512) -> float:
     """Largest real part among the roots found by the seed sweep.
 
     Best-effort by construction: the verdict is only as good as the seed
     coverage (grid_n controls it).  Returns -inf if nothing converged.
     """
-    root = _rightmost_root(lin, None, omega_max, grid_n)
+    root = _rightmost_root(lin, None, grid_n)
     return -math.inf if root is None else root.real
 
 
 def rightmost_in_window(
-    lin: LinearizationData,
-    omega_window: tuple[float, float],
-    omega_max: float | None = None,
-    grid_n: int = 256,
+    lin: LinearizationData, omega_window: tuple[float, float], grid_n: int = 256
 ) -> float | None:
     """Largest real part among roots whose frequency lies in the given window.
 
@@ -476,7 +448,7 @@ def rightmost_in_window(
     boundary seeding find curves beyond the first loss of stability.
     Returns None when no root lands in the window.
     """
-    root = _rightmost_root(lin, omega_window, omega_max, grid_n)
+    root = _rightmost_root(lin, omega_window, grid_n)
     return None if root is None else root.real
 
 

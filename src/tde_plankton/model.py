@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -33,13 +32,6 @@ R_FLOOR_DEFAULT = 1e-14
 
 #: Saturation limit of both growth-response variants (maturity units/day).
 R_INFINITY = 1.0
-
-
-class ResponseKind(Enum):
-    """Shape of the juvenile growth-rate response R(P)."""
-
-    CONSTANT = "constant"
-    MICHAELIS = "michaelis"
 
 
 class StateNPZ(NamedTuple):
@@ -107,10 +99,6 @@ class ModelParams:
             raise ParamError(f"r_star must be positive when given, got {self.r_star!r}")
         if not self.r_floor > 0:
             raise ParamError("r_floor must be positive")
-
-    @property
-    def response_kind(self) -> ResponseKind:
-        return ResponseKind.CONSTANT if self.l is None else ResponseKind.MICHAELIS
 
     def with_r_star(self, r_star: float) -> "ModelParams":
         return replace(self, r_star=r_star)

@@ -185,7 +185,6 @@ class Trajectory:
     params: ModelParams
     hist_t_hat: np.ndarray
     hist_t: np.ndarray
-    hist_n: np.ndarray
     hist_p: np.ndarray
     hist_z: np.ndarray
     hist_inv_r: np.ndarray
@@ -400,7 +399,6 @@ def integrate(
         params=params,
         hist_t_hat=buf.t_hat[hist].copy(),
         hist_t=np.full(row0 + 1, np.nan),
-        hist_n=buf.n[hist].copy(),
         hist_p=buf.p[hist].copy(),
         hist_z=buf.z[hist].copy(),
         hist_inv_r=buf.inv_r[hist].copy(),
@@ -469,17 +467,16 @@ def to_physical_time(traj: Trajectory, params: ModelParams) -> Trajectory:
 
 
 def _full_series(traj: Trajectory) -> tuple[np.ndarray, ...]:
-    """History plus run, concatenated on the physical-time axis."""
+    """(t, p, z) of history plus run, concatenated on the physical-time axis."""
     if np.any(np.isnan(traj.t)):
         raise DomainError("physical times missing; run to_physical_time first")
     if traj.hist_t_hat.size > 1:
         t = np.concatenate([traj.hist_t[:-1], traj.t])
-        n = np.concatenate([traj.hist_n[:-1], traj.n])
         p = np.concatenate([traj.hist_p[:-1], traj.p])
         z = np.concatenate([traj.hist_z[:-1], traj.z])
     else:
-        t, n, p, z = traj.t, traj.n, traj.p, traj.z
-    return t, n, p, z
+        t, p, z = traj.t, traj.p, traj.z
+    return t, p, z
 
 
 def _cumulative_maturity(t: np.ndarray, p: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -502,7 +499,7 @@ def tde_residual(traj: Trajectory, params: ModelParams) -> float:
     per delay, so rows before 2T would contaminate the second-order defect
     with first-order stencil error at the kinks.
     """
-    t_full, n_full, p_full, z_full = _full_series(traj)
+    t_full, p_full, z_full = _full_series(traj)
     cum = _cumulative_maturity(t_full, p_full, params)
     t_rows = traj.t
     if t_rows.size < 5:
@@ -561,7 +558,7 @@ def reconstruct_rho(
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid < 0) or np.any(s_grid > params.m):
         raise DomainError("maturity grid outside [0, m]")
-    t_full, _, p_full, z_full = _full_series(traj)
+    t_full, p_full, z_full = _full_series(traj)
     if not t_full[0] <= t <= t_full[-1]:
         raise OutOfRegionError("query time outside the stored run")
     cum = _cumulative_maturity(t_full, p_full, params)
@@ -579,15 +576,15 @@ def reconstruct_rho(
     )
 
 
-def measure_frequency(traj: Trajectory, window_frac: float = 0.5) -> float | None:
+def measure_frequency(traj: Trajectory) -> float | None:
     """Oscillation frequency (rad/day, physical time) from zero crossings.
 
     Uses upward crossings of the mean-removed phytoplankton series over the
-    trailing ``window_frac`` of the run; None when fewer than two crossings.
+    trailing half of the run; None when fewer than two crossings.
     """
     if np.any(np.isnan(traj.t)):
         raise DomainError("physical times missing; run to_physical_time first")
-    i0 = int(traj.t.size * (1.0 - window_frac))
+    i0 = int(traj.t.size * 0.5)
     t, p = traj.t[i0:], traj.p[i0:]
     if t.size < 8:
         return None

@@ -111,6 +111,16 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_infeasible_preset_history_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # a constant history this large leaves no room for the nutrient pool
+        code = run_cli([
+            "simulate", "--preset", "fig6-stable", "--out", str(tmp_path),
+            "--set", "run.history=constant", "--set", "run.p0=3.0", "--set", "run.z0=0.5",
+        ])
+        assert code == 2
+        assert "nonpositive nutrient pool" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_singular_rate_exits_1(self, tmp_path, capsys):
         # R(p) ~ p/l drops below r_floor = 1e-14 while p is still above the
         # extinction floor 1e-12*n_total: the tiny pinned r_star keeps each
@@ -299,6 +309,28 @@ class TestTraceCommand:
         for name in ("curves.csv", "frequency_profile.csv", "metadata.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
             assert (a / name).read_bytes() == (c / name).read_bytes()
+
+    def test_frequency_profile_mirrors_curves(self, tmp_path):
+        assert run_cli(["trace-boundary", "--preset", "fig2-left", "--out", str(tmp_path)]) == 0
+        curves = [r.split(",") for r in (tmp_path / "curves.csv").read_text().splitlines()]
+        freq = [r.split(",") for r in
+                (tmp_path / "frequency_profile.csv").read_text().splitlines()]
+        assert freq[0] == ["curve_id", "m", "n_total", "omega"]
+        cols = [curves[0].index(name) for name in freq[0]]
+        assert len(freq) == len(curves) > 2
+        assert freq[1:] == [[row[i] for i in cols] for row in curves[1:]]
+
+    def test_tight_corrector_tolerance_traces(self, tmp_path):
+        # the start is polished to the configured tolerance, which the trace
+        # then demands of it
+        assert run_cli([
+            "trace-boundary", "--preset", "fig2-left", "--out", str(tmp_path),
+            "--set", "continuation.corrector_tol=1e-12",
+        ]) == 0
+        md = json.loads((tmp_path / "metadata.json").read_text())
+        assert len(md["curves"]) == 1 and md["seed_failures"] == []
+        data = np.genfromtxt(tmp_path / "curves.csv", delimiter=",", names=True)
+        assert data["residual"][0] <= 1e-11
 
     def test_polish_failure_reports_and_exits_zero(self, tmp_path, monkeypatch):
         monkeypatch.setattr(continuation, "_newton_corrector", lambda *a, **k: None)

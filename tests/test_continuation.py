@@ -30,22 +30,22 @@ def loop_family():
     return params, start
 
 
+def _start_lin(start, params):
+    return linearize.linearization_at(start.n_star, start.p_star, start.z_star, start.m, params)
+
+
 class TestHopfResidual:
     def test_definition_at_found_point(self, loop_family):
         params, start = loop_family
-        m_scale = continuation._m_scale(params)
-        scaled = continuation._scaled_residual(
-            continuation._pack(start.as_array(), m_scale), params, m_scale
-        )
-        assert np.max(np.abs(scaled)) <= 1e-9
+        assert continuation.point_residual(start, params) <= 1e-9
 
     def test_frequency_sign_flip(self, loop_family):
         params, start = loop_family
-        u = start.as_array()
-        res_pos = continuation.hopf_residual(u, params)
+        u, lin = start.as_array(), _start_lin(start, params)
+        res_pos = continuation.hopf_residual(u, params, lin)
         u_neg = u.copy()
         u_neg[5] = -u_neg[5]
-        res_neg = continuation.hopf_residual(u_neg, params)
+        res_neg = continuation.hopf_residual(u_neg, params, lin)
         assert res_neg[4] == pytest.approx(-res_pos[4], rel=1e-12, abs=1e-300)
         for i in (0, 1, 2, 3):
             assert res_neg[i] == res_pos[i]
@@ -55,7 +55,15 @@ class TestHopfResidual:
         u = start.as_array()
         u[1] = -0.1
         with pytest.raises(DomainError):
-            continuation.hopf_residual(u, params)
+            continuation.hopf_residual(u, params, _start_lin(start, params))
+
+    def test_point_residual_is_the_largest_scaled_component(self, loop_family):
+        params, start = loop_family
+        m_scale = continuation._m_scale(params)
+        x = continuation._pack(start.as_array(), m_scale)
+        want = float(np.max(np.abs(_matrix_scaled_residual(x, params, m_scale))))
+        assert continuation.point_residual(start, params) == want
+        assert math.isnan(continuation.point_residual(replace(start, omega=math.nan), params))
 
 
 #: Traced boundary points (n_star, p_star, z_star, m, n_total, omega), two
@@ -186,6 +194,11 @@ def _matrix_fd_jacobian(x, params, m_scale, base):
     return jac
 
 
+def _float_residual(x, params, m_scale):
+    """The float residual core as an array, at the scaled point ``x``."""
+    return np.array(continuation._residual(x.tolist(), params, m_scale)[0])
+
+
 def _fast_fd_jacobian(x, params, m_scale):
     base, lin = continuation._residual(x.tolist(), params, m_scale)
     return continuation._fd_jacobian(x, params, m_scale, base, lin)
@@ -251,7 +264,7 @@ class TestScaledResidualFastPath:
         m_scale = continuation._m_scale(params)
         u = np.array(point) * (1.0 + np.array(rel))
         x = continuation._pack(u, m_scale)
-        got = _outcome(continuation._scaled_residual, x, params, m_scale)
+        got = _outcome(_float_residual, x, params, m_scale)
         assert isinstance(got, bytes)
         assert got == _outcome(_matrix_scaled_residual, x, params, m_scale)
         # the matrices built from the kernel's entries are the old ones too
@@ -268,7 +281,7 @@ class TestScaledResidualFastPath:
     @pytest.mark.parametrize("fault", ERROR_CASES)
     def test_same_errors(self, name, fault):
         x, params, m_scale, error = _faulty_point(BOUNDARY_POINTS[name][0], name, fault)
-        got = _outcome(continuation._scaled_residual, x, params, m_scale)
+        got = _outcome(_float_residual, x, params, m_scale)
         assert got == _outcome(_matrix_scaled_residual, x, params, m_scale)
         assert (type(got) if isinstance(got, bytes) else got) is error
         if error in (DomainError, SingularRateError):  # raised by the kernel itself
@@ -383,6 +396,21 @@ class TestFindStart:
         assert any(isinstance(s, BoundaryPoint) for s in fresh)
         assert len(batches) < fresh_batches
 
+    def test_nan_start_residual_raises_no_converge(self, monkeypatch):
+        monkeypatch.setattr(continuation, "point_residual", lambda *a, **k: math.nan)
+        params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
+        with pytest.raises(NoConvergeError, match="nan exceeds"):
+            continuation.find_start(params, 6.0, (10 ** 0.4, 10 ** 0.6))
+
+    def test_polish_follows_the_trace_options(self, loop_family):
+        # a start polished to a tighter tolerance is one the trace accepts
+        params, start = loop_family
+        tight = TraceOptions(corrector_tol=1e-12, max_steps=2)
+        found = continuation.find_start(params, 6.0, (10 ** 0.4, 10 ** 0.6), opts=tight)
+        assert continuation.point_residual(found, params) <= 10 * tight.corrector_tol
+        assert len(continuation.trace_curve(found, params, tight)) == 3
+        assert found.n_total == pytest.approx(start.n_total, rel=1e-6)
+
     def test_corrector_failure_raises_no_converge(self, monkeypatch):
         monkeypatch.setattr(continuation, "_newton_corrector", lambda *a, **k: None)
         params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
@@ -401,12 +429,8 @@ class TestTraceCurve:
         opts = TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=40)
         curve = continuation.trace_curve(start, params, opts)
         assert len(curve.points) > 10
-        m_scale = continuation._m_scale(params)
         for pt in curve.points:
-            scaled = continuation._scaled_residual(
-                continuation._pack(pt.as_array(), m_scale), params, m_scale
-            )
-            assert np.max(np.abs(scaled)) <= 1e-9
+            assert continuation.point_residual(pt, params) <= 1e-9
             assert pt.z_star > 0
             nt2 = equilibria.compute_nt2(
                 ModelParams(delta0=0.17, l=0.159, m=pt.m, n_total=1.0)
@@ -447,16 +471,19 @@ class TestTraceCurve:
         fwd = continuation.trace_curve(start, params, opts)
         end = fwd.points[-1]
         m_scale = continuation._m_scale(params)
-        incoming = continuation._pack(
-            fwd.points[-2].as_array(), m_scale
-        ) - continuation._pack(end.as_array(), m_scale)
-        back = continuation.trace_curve(
-            end, params,
-            TraceOptions(
-                nt_min=1.0, nt_max=30.0, max_steps=40,
-                initial_direction=tuple(incoming),
-            ),
-        )
+
+        def scaled(pt):
+            return continuation._pack(pt.as_array(), m_scale)
+
+        incoming = scaled(fwd.points[-2]) - scaled(end)
+        # of the two branches from the end, keep the one heading back
+        branches = [
+            continuation.trace_curve(
+                end, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=40, orientation=o)
+            )
+            for o in (1, -1)
+        ]
+        back, = [b for b in branches if float((scaled(b.points[1]) - scaled(end)) @ incoming) > 0]
         x_start = continuation._pack(start.as_array(), m_scale)
         xs = np.array([continuation._pack(p.as_array(), m_scale) for p in back.points])
         # seed from the foot of the nearest polyline segment
@@ -531,6 +558,12 @@ class TestTraceCurve:
         with pytest.raises(DomainError):
             continuation.trace_curve(off, params)
 
+    def test_nan_start_rejected(self, loop_family):
+        # a NaN residual fails the start check instead of reaching the SVD
+        params, start = loop_family
+        with pytest.raises(DomainError, match="too large"):
+            continuation.trace_curve(replace(start, omega=math.nan), params)
+
 
 class TestDomainTest:
     """On a steady state z_star > 0 holds exactly when n_total > nt2(m), so
@@ -574,24 +607,6 @@ class TestDomainTest:
         assert np.all(data["residual"] <= 1e-9)
         for m, nt in zip(data["m"].tolist(), data["n_total"].tolist()):
             assert nt > equilibria.compute_nt2(replace(params, m=m))
-
-
-class TestFrequencyProfile:
-    def test_rows_mirror_points(self, loop_family):
-        params, start = loop_family
-        curve = continuation.trace_curve(
-            start, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=6)
-        )
-        rows = continuation.emit_frequency_profile(curve)
-        assert len(rows) == len(curve.points)
-        for row, pt in zip(rows, curve.points):
-            assert row == (pt.m, pt.n_total, pt.omega)
-
-    def test_empty_curve_rejected(self):
-        with pytest.raises(DomainError):
-            continuation.emit_frequency_profile(
-                continuation.BoundaryCurve([], CurveEnd.DOMAIN_BOUND)
-            )
 
 
 def _windowed_rightmost_at(params, m, nt, window, grid_n=256):

@@ -98,8 +98,7 @@ class TestNt2:
 
     def test_exceeds_nt1(self, table1):
         p = table1(delta0=0.17, m=6.0)
-        report = equilibria.thresholds(p)
-        assert report.nt2 > report.nt1
+        assert equilibria.compute_nt2(p) > equilibria.compute_nt1(p)
 
 
 def _independent_e2_oracle(p):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import lambertw
 
 from tde_plankton import equilibria, linearize, model
-from tde_plankton.exceptions import BracketError, DomainError, NoConvergeError
+from tde_plankton.exceptions import BracketError, DomainError
 from tde_plankton.linearize import LinearizationData
 from tde_plankton.model import ModelParams
 
@@ -356,7 +356,7 @@ class TestPinnedVerdicts:
     @pytest.mark.parametrize("case", PINNED_E2, ids=lambda c: "-".join(map(str, c[:5])))
     def test_pins_are_the_mpmath_roots(self, case):
         _, lin = pinned_lin(*case[:5])
-        start = linearize._rightmost_root(lin, None, None, 512)
+        start = linearize._rightmost_root(lin, None, 512)
         assert mp_root(lin, start).real == pytest.approx(case[5], abs=1e-15)
 
     def test_e1_oracle_matches_the_factorization(self):
@@ -372,14 +372,15 @@ class TestRoots:
     def test_refine_from_closed_form_seed(self, table1):
         p, e1, lin = e1_lin(table1)
         seed = -p.mu * e1.p_star * lin.coeff_a
-        root = linearize.refine_root(complex(seed * (1 + 1e-6)), lin)
-        assert root.real == pytest.approx(seed, rel=1e-8)
-        assert abs(root.imag) <= 1e-8
+        roots, ok = linearize._newton_batch(np.array([complex(seed * (1 + 1e-6))]), lin)
+        assert ok[0]
+        assert roots[0].real == pytest.approx(seed, rel=1e-8)
+        assert abs(roots[0].imag) <= 1e-8
 
-    def test_hopeless_seed_raises(self, table1):
+    def test_hopeless_seed_is_no_root(self, table1):
         _, _, lin = e2_lin(table1)
-        with pytest.raises(NoConvergeError):
-            linearize.refine_root(complex(-1e8), lin)
+        _, ok = linearize._newton_batch(np.array([complex(-1e8)]), lin)
+        assert not ok[0]
 
     def test_grid_floor_enforced(self, table1):
         _, _, lin = e2_lin(table1)
@@ -474,12 +475,11 @@ class TestScanReuse:
         _, _, lin = e2_lin(table1)
         first = linearize.scan_roots(lin, grid_n=128)
         assert linearize.scan_roots(lin, grid_n=128) is first
-        # the verdicts read the same stored scan (default omega_max)
+        # the verdicts read the same stored scan
         assert linearize.rightmost_real_part(lin, grid_n=128) == max(first.roots.real)
         assert len(lin.scans) == 1
         other = linearize.scan_roots(lin, grid_n=256)
         assert other is not first and len(lin.scans) == 2
-        assert linearize.scan_roots(lin, omega_max=5.0, grid_n=128) is not first
 
     def test_stored_roots_are_read_only(self, table1):
         _, _, lin = e2_lin(table1)
@@ -540,7 +540,7 @@ def acceptance_bound(s, lin):
 
 
 def scan_seeds(lin, grid_n):
-    """The seed array scan_roots sweeps with the default omega_max."""
+    """The seed array scan_roots sweeps."""
     omega_max = linearize.default_omega_max(lin)
     return np.concatenate([1j * np.linspace(0.0, omega_max, grid_n),
                            np.linspace(-omega_max, 0.25 * omega_max, max(grid_n // 8, 17))])
@@ -609,14 +609,12 @@ class TestNewtonSweepCompaction:
 
     @settings(max_examples=30, deadline=None)
     @given(lin=sweep_lin())
-    def test_refine_root_matches_the_full_array_sweep(self, lin):
+    def test_one_seed_matches_the_full_array_sweep(self, lin):
         for seed in [*odd_seeds(lin)[[0, 1, 2, 9, 12]], *scan_seeds(lin, 64)[::9]]:
+            got, ok = linearize._newton_batch(np.array([seed]), lin)
             want, want_ok = full_array_newton(np.array([seed]), lin)
-            if want_ok[0]:
-                assert_bitwise_equal(np.array([linearize.refine_root(seed, lin)]), want)
-            else:
-                with pytest.raises(NoConvergeError):
-                    linearize.refine_root(seed, lin)
+            assert_bitwise_equal(got, want)
+            assert np.array_equal(ok, want_ok)
 
 
 class TestRootAcceptance:
@@ -654,13 +652,13 @@ class TestVerdictAccuracy:
     @pytest.mark.parametrize("key", LAST_PASS_LANDINGS, ids=lambda k: "-".join(map(str, k)))
     def test_a_last_pass_landing_takes_one_more_step(self, key):
         _, lin = pinned_lin(*key)
-        root = linearize._rightmost_root(lin, None, None, 512)
+        root = linearize._rightmost_root(lin, None, 512)
         assert abs(root.real - mp_root(lin, root).real) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(lin=sweep_lin())
     def test_verdict_root_matches_the_mpmath_root(self, lin):
-        root = linearize._rightmost_root(lin, None, None, 512)
+        root = linearize._rightmost_root(lin, None, 512)
         if root is not None:
             assert abs(root.real - mp_root(lin, root).real) <= 1e-10
 

@@ -23,7 +23,7 @@ def fig6_params(nt=10 ** 0.49):
 
 def _lag_loop(traj, params, t_query, s):
     """Delayed time and the delayed P and Z for one node, one scalar at a time."""
-    t_full, _, p_full, z_full = simulate._full_series(traj)
+    t_full, p_full, z_full = simulate._full_series(traj)
     cum = simulate._cumulative_maturity(t_full, p_full, params)
     target = float(np.interp(t_query, t_full, cum)) - s
     if target < cum[0] - 1e-12:
