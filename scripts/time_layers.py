@@ -47,7 +47,7 @@ def _integrate_step():
     dt = params.m / params.r_star / PANELS
     buf = simulate.build_initial(simulate.HistorySpec.at_equilibrium(1e-3, 1e-3), params, dt)
     steps = PANELS * DELAYS
-    return steps, lambda: simulate.integrate(copy.deepcopy(buf), params, steps * dt)
+    return steps, lambda: simulate.integrate(copy.deepcopy(buf), steps * dt)
 
 
 def _layers():

@@ -66,13 +66,9 @@ def cmd_equilibria(cfg: RunConfig, out_dir: Path) -> int:
     else:
         grid = np.array([])
 
-    def one(m: float):
-        params_m = replace(cfg.params, m=m)
-        return m, equilibria.classify_and_sweep(params_m, grid)
-
-    results = list(map(one, sweep.m_list))
     manifest = []
-    for m, rows in results:
+    for m in sweep.m_list:
+        rows = equilibria.classify_and_sweep(replace(cfg.params, m=m), grid)
         name = f"sweep_m{m:g}_d0{cfg.params.delta0:g}.csv"
         _write_csv(
             out_dir / name,
@@ -225,8 +221,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         )
 
     buf = simulate.build_initial(spec, params, dt_hat)
-    traj = simulate.integrate(buf, params, sim_cfg.horizon_hat)
-    traj = simulate.to_physical_time(traj, params)
+    traj = simulate.integrate(buf, sim_cfg.horizon_hat)
     freq = simulate.measure_frequency(traj)
 
     columns = [traj.t_hat, traj.t, traj.n, traj.p, traj.z, traj.tau_m, traj.cons_residual]
@@ -239,7 +234,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     rho_files = []
     for t_req in sim_cfg.rho_times:
         s_grid = np.linspace(0.0, params.m, sim_cfg.rho_s_panels + 1)
-        rho = simulate.reconstruct_rho(traj, t_req, s_grid, params)
+        rho = simulate.reconstruct_rho(traj, t_req, s_grid)
         name = f"rho_t{t_req:g}.csv"
         _write_csv(out_dir / name, ["s", "rho"],
                    np.column_stack([s_grid, rho]).tolist())

@@ -53,6 +53,11 @@ SERIES_SWITCH = 1e-4
 #: Scanned roots closer than this, relative to max(1, |s|), are one root.
 DEDUPE_RTOL = 1e-7
 
+#: Newton sweep stop (step relative to the iterate) and root acceptance
+#: (|char_fn| relative to its magnitude bound) tolerance, and its pass limit.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+
 #: Roots smaller than this (1/day) are treated as the structural zero mode of
 #: the conservation law when delta0 = 0 and excluded from stability verdicts.
 ZERO_MODE_TOL = 1e-6
@@ -292,27 +297,21 @@ def _char_newton(s: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray, np.
     return f, df
 
 
-def _newton_batch(
-    seeds: np.ndarray,
-    lin: LinearizationData,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> tuple[np.ndarray, np.ndarray]:
+def _newton_batch(seeds: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray, np.ndarray]:
     """Damped-free Newton on char_fn from every finite seed at once.
 
-    Each pass evaluates char_fn and its exact derivative on the working set,
-    the seeds still moving.  A seed leaves it once it applies a step with
-    |step| <= tol*|s_new|, and, keeping its iterate, once its step is not
-    finite (non-finite f, df = 0).  An iterate is converged where
-    |char_fn| <= tol times a finite magnitude bound.
-    Returns (iterates, converged mask).
+    Each of up to NEWTON_MAX_ITER passes evaluates char_fn and its exact
+    derivative on the working set, the seeds still moving.  A seed leaves it
+    once it applies a step with |step| <= NEWTON_TOL*|s_new|, and, keeping
+    its iterate, once its step is not finite (non-finite f, df = 0).  An
+    iterate is converged where |char_fn| <= NEWTON_TOL times a finite
+    magnitude bound.  Returns (iterates, converged mask).
     """
     s = np.asarray(seeds, dtype=complex).copy()
     moving = np.flatnonzero(np.isfinite(s))
     x = s[moving]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if not moving.size:
                 break
             f, df = _char_newton(x, lin)
@@ -320,13 +319,13 @@ def _newton_batch(
             x_new = x - step
             finite = np.isfinite(step)
             s[moving] = np.where(finite, x_new, x)
-            go = finite & (np.abs(step) > tol * np.abs(x_new))
+            go = finite & (np.abs(step) > NEWTON_TOL * np.abs(x_new))
             moving, x = moving[go], x_new[go]
     f = char_fn(s, lin)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         bound = _bound(s, *_delay_terms(s, lin.t_delay)[:2], lin.char_form)
     ok = (np.isfinite(s) & np.isfinite(f) & np.isfinite(bound)
-          & (np.abs(f) <= tol * np.maximum(bound, 1e-300)))
+          & (np.abs(f) <= NEWTON_TOL * np.maximum(bound, 1e-300)))
     return s, ok
 
 

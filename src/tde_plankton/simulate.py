@@ -13,15 +13,16 @@ The conservation residual of every row (N + P + Z plus the juvenile pool,
 minus the total biomass) is not needed by the step loop, so it is filled in
 after the loop by one vectorised pass over the trailing delay windows.
 
-Diagnostics map the run back to physical time, reconstruct the juvenile
-maturity spectrum, measure the threshold-delay residual, and fit the decay
-rate of a deliberately injected conservation offset.
+Each run comes back with its physical-time clock.  Diagnostics read the
+run's own parameters to reconstruct the juvenile maturity spectrum, measure
+the threshold-delay residual, and fit the decay rate of a deliberately
+injected conservation offset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -167,9 +168,10 @@ class HistoryBuffer:
 class Trajectory:
     """Integration output: one row per accepted step from transformed time zero.
 
-    ``t`` is filled by :func:`to_physical_time`.  The initial window (the
-    history on [-T, 0]) rides along for the diagnostics that need to look
-    back past time zero.
+    ``t`` is the physical time of each row, zero at transformed time zero.
+    The initial window (the history on [-T, 0], at physical times up to
+    zero) rides along for the diagnostics that need to look back past time
+    zero.
     """
 
     t_hat: np.ndarray
@@ -183,11 +185,9 @@ class Trajectory:
     termination: Termination
     dt_hat: float
     params: ModelParams
-    hist_t_hat: np.ndarray
     hist_t: np.ndarray
     hist_p: np.ndarray
     hist_z: np.ndarray
-    hist_inv_r: np.ndarray
     tau_drift_max: float = 0.0
 
     def __len__(self) -> int:
@@ -264,23 +264,21 @@ def build_initial(spec: HistorySpec, params: ModelParams, dt_hat: float) -> Hist
 
 def integrate(
     buf: HistoryBuffer,
-    params: ModelParams,
     horizon_hat: float,
     *,
     tau_refresh_interval: int = TAU_REFRESH_INTERVAL,
 ) -> Trajectory:
     """Advance the buffer to ``horizon_hat`` with the two-stage scheme.
 
-    Stage one evaluates the rates at the current node with the running
-    maturation lag; stage two at the Euler predictor with the lag updated by
-    the predicted panel; the state advances by the stage average.  A step
-    that crosses the extinction floor terminates the run at the crossing,
-    located by linear interpolation inside the step.  The ``cons_residual``
-    column is computed after the loop from the stored samples.
+    The run takes its parameters from the buffer.  Stage one evaluates the
+    rates at the current node with the running maturation lag; stage two at
+    the Euler predictor with the lag updated by the predicted panel; the
+    state advances by the stage average.  A step that crosses the extinction
+    floor terminates the run at the crossing, located by linear
+    interpolation inside the step.  The ``cons_residual`` and physical-time
+    columns are computed after the loop from the stored samples.
     """
-    params = equilibria.resolve_r_star(params)
-    if buf.params.r_star != params.r_star:
-        raise DomainError("buffer was built for a different reference rate")
+    params = buf.params
     dt = buf.dt_hat
     n_steps = int(round(horizon_hat / dt))
     p_floor = EXTINCTION_FLOOR_FRAC * params.n_total
@@ -319,13 +317,10 @@ def integrate(
                 "predictor left the positive domain; reduce dt_hat"
             )
 
-        # lag over the predicted window: add the new panel, drop the oldest
-        r_pred = model._r(pp, params)
-        if r_pred < params.r_floor:
-            termination = Termination.SINGULAR_RATE
-            break
-        inv_r_pred = params.r_star / r_pred
+        # lag over the predicted window: add the new panel, drop the oldest;
+        # a predictor below the rate floor ends the run in stage two's _rhs
         if lag > 0:
+            inv_r_pred = params.r_star / model._r(pp, params)
             oldest = dt * 0.5 * (buf.inv_r[i - lag] + buf.inv_r[i - lag + 1])
             tau_pred = tau_now + dt * 0.5 * (buf.inv_r[i] + inv_r_pred) - oldest
             p_del, z_del = float(buf.p[i + 1 - lag]), float(buf.z[i + 1 - lag])
@@ -385,23 +380,23 @@ def integrate(
 
     # appends never touch earlier samples, so the history is still in place
     sl, hist = slice(row0, buf.now_index + 1), slice(0, row0 + 1)
+    t_hat, inv_r = buf.t_hat[sl].copy(), buf.inv_r[sl].copy()
+    clock = to_physical_time(buf.t_hat[hist], buf.inv_r[hist])
     return Trajectory(
-        t_hat=buf.t_hat[sl].copy(),
-        t=np.full(sl.stop - row0, np.nan),
+        t_hat=t_hat,
+        t=to_physical_time(t_hat, inv_r),
         n=buf.n[sl].copy(),
         p=buf.p[sl].copy(),
         z=buf.z[sl].copy(),
         tau_m=np.array(rows_tau),
         cons_residual=cons,
-        inv_r=buf.inv_r[sl].copy(),
+        inv_r=inv_r,
         termination=termination,
         dt_hat=dt,
         params=params,
-        hist_t_hat=buf.t_hat[hist].copy(),
-        hist_t=np.full(row0 + 1, np.nan),
+        hist_t=clock - clock[-1],
         hist_p=buf.p[hist].copy(),
         hist_z=buf.z[hist].copy(),
-        hist_inv_r=buf.inv_r[hist].copy(),
         tau_drift_max=tau_drift_max,
     )
 
@@ -448,29 +443,16 @@ def _conservation_residuals(
     return out - params.n_total
 
 
-def to_physical_time(traj: Trajectory, params: ModelParams) -> Trajectory:
-    """Fill the physical-time columns by trapezoid quadrature of r_star/R.
-
-    Physical time is zero at transformed time zero; the history window maps
-    to negative times by the same rule.
-    """
-    incr = 0.5 * np.diff(traj.t_hat) * (traj.inv_r[:-1] + traj.inv_r[1:])
-    t = np.concatenate(([0.0], np.cumsum(incr)))
-    dh = np.diff(traj.hist_t_hat)
-    if dh.size:
-        incr_h = 0.5 * dh * (traj.hist_inv_r[:-1] + traj.hist_inv_r[1:])
-        cum = np.concatenate(([0.0], np.cumsum(incr_h)))
-        hist_t = cum - cum[-1]
-    else:
-        hist_t = np.zeros_like(traj.hist_t_hat)
-    return replace(traj, t=t, hist_t=hist_t)
+def to_physical_time(t_hat: np.ndarray, inv_r: np.ndarray) -> np.ndarray:
+    """Physical time of the samples, zero at the first: the trapezoid
+    quadrature of their r_star/R factors ``inv_r`` over ``t_hat``."""
+    incr = 0.5 * np.diff(t_hat) * (inv_r[:-1] + inv_r[1:])
+    return np.concatenate(([0.0], np.cumsum(incr)))
 
 
 def _full_series(traj: Trajectory) -> tuple[np.ndarray, ...]:
     """(t, p, z) of history plus run, concatenated on the physical-time axis."""
-    if np.any(np.isnan(traj.t)):
-        raise DomainError("physical times missing; run to_physical_time first")
-    if traj.hist_t_hat.size > 1:
+    if traj.hist_t.size > 1:
         t = np.concatenate([traj.hist_t[:-1], traj.t])
         p = np.concatenate([traj.hist_p[:-1], traj.p])
         z = np.concatenate([traj.hist_z[:-1], traj.z])
@@ -485,7 +467,7 @@ def _cumulative_maturity(t: np.ndarray, p: np.ndarray, params: ModelParams) -> n
     return np.concatenate(([0.0], np.cumsum(incr)))
 
 
-def tde_residual(traj: Trajectory, params: ModelParams) -> float:
+def tde_residual(traj: Trajectory) -> float:
     """Max scaled defect of the threshold-delay form along the run.
 
     Interpolates the physical-time series, solves the threshold condition
@@ -499,6 +481,7 @@ def tde_residual(traj: Trajectory, params: ModelParams) -> float:
     per delay, so rows before 2T would contaminate the second-order defect
     with first-order stencil error at the kinks.
     """
+    params = traj.params
     t_full, p_full, z_full = _full_series(traj)
     cum = _cumulative_maturity(t_full, p_full, params)
     t_rows = traj.t
@@ -546,15 +529,14 @@ def tde_residual(traj: Trajectory, params: ModelParams) -> float:
     return worst / max(1.0, params.n_total)
 
 
-def reconstruct_rho(
-    traj: Trajectory, t: float, s_grid, params: ModelParams
-) -> np.ndarray:
+def reconstruct_rho(traj: Trajectory, t: float, s_grid) -> np.ndarray:
     """Juvenile maturity spectrum at physical time ``t`` from the run history.
 
     Evaluates exp(-delta0*tau(s)) * gg * Z(t-tau) h(P(t-tau)) / R(P(t-tau))
     with the lag solved from the stored maturity integral; raises
     OutOfRegionError where the lag would reach past the stored history.
     """
+    params = traj.params
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid < 0) or np.any(s_grid > params.m):
         raise DomainError("maturity grid outside [0, m]")
@@ -582,8 +564,6 @@ def measure_frequency(traj: Trajectory) -> float | None:
     Uses upward crossings of the mean-removed phytoplankton series over the
     trailing half of the run; None when fewer than two crossings.
     """
-    if np.any(np.isnan(traj.t)):
-        raise DomainError("physical times missing; run to_physical_time first")
     i0 = int(traj.t.size * 0.5)
     t, p = traj.t[i0:], traj.p[i0:]
     if t.size < 8:
@@ -620,9 +600,7 @@ def delta_decay_check(
     sign-crossing mismatch) the report carries the deviation from constancy
     instead of a rate.
     """
-    params = equilibria.resolve_r_star(params)
-    buf = build_initial(spec, params, dt_hat)
-    traj = to_physical_time(integrate(buf, params, horizon_hat), params)
+    traj = integrate(build_initial(spec, params, dt_hat), horizon_hat)
     delta = traj.cons_residual
     d0 = float(delta[0])
     if abs(d0) < 1e-13 * params.n_total:

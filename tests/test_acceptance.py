@@ -8,9 +8,8 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 
-from tde_plankton import continuation, equilibria, linearize, model, simulate
+from tde_plankton import continuation, equilibria, linearize, simulate
 from tde_plankton.continuation import TraceOptions
 from tde_plankton.model import ModelParams
 from tde_plankton.simulate import HistorySpec, Termination
@@ -150,7 +149,7 @@ def test_criterion_05_stability_flip_at_quoted_point():
         e2 = equilibria.solve_e2(p)
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(1e-3, 1e-3), p, big_t / 200)
-        traj = simulate.integrate(buf, p, 1200.0)
+        traj = simulate.integrate(buf, 1200.0)
         amp = np.abs(traj.p - e2.p_star)
         q = len(amp) // 4
         behaviours[nt] = (1e-3 * e2.p_star, float(np.max(amp[3 * q:])))
@@ -174,9 +173,9 @@ def test_criterion_06_second_order_convergence():
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(1e-2, -1e-2), p, big_t / panels
         )
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 35.0), p)
+        traj = simulate.integrate(buf, 35.0)
         cons.append(float(np.max(np.abs(traj.cons_residual))))
-        tde.append(simulate.tde_residual(traj, p))
+        tde.append(simulate.tde_residual(traj))
     cons_ratios = [a / b for a, b in zip(cons, cons[1:])]
     tde_ratios = [a / b for a, b in zip(tde, tde[1:])]
     ok = all(3.2 <= r <= 4.8 for r in cons_ratios + tde_ratios)
@@ -195,7 +194,7 @@ def test_criterion_07_extinction_and_global_attraction():
     buf = simulate.build_initial(
         HistorySpec.constant(0.3 * nt_ext, 0.1 * nt_ext), p_ext, big_t / 20000
     )
-    traj = simulate.integrate(buf, p_ext, 120.0)
+    traj = simulate.integrate(buf, 120.0)
     fin = traj.final_state()
     ext_gap = max(abs(fin.n - nt_ext), fin.p, abs(fin.z)) / nt_ext
     ext_ok = traj.termination is Termination.EXTINCTION and ext_gap <= 1e-6
@@ -210,7 +209,7 @@ def test_criterion_07_extinction_and_global_attraction():
         buf = simulate.build_initial(
             HistorySpec.constant(pf * nt_mid, zf * nt_mid), p_e1, big_t / 200
         )
-        run = simulate.integrate(buf, p_e1, 1200.0)
+        run = simulate.integrate(buf, 1200.0)
         f = run.final_state()
         gaps.append(max(abs(f.n - e1.n_star), abs(f.p - e1.p_star), abs(f.z)) / nt_mid)
     attract_ok = all(g <= 1e-6 for g in gaps)
@@ -240,7 +239,7 @@ def test_criterion_08_frequency_cross_validation():
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(1e-3, 1e-3), p_run, big_t / panels
         )
-        traj = simulate.to_physical_time(simulate.integrate(buf, p_run, 700.0), p_run)
+        traj = simulate.integrate(buf, 700.0)
         freq = simulate.measure_frequency(traj)
         rel_errors.append((label, abs(freq - bp.omega) / bp.omega, bp.omega, freq))
     ok = all(err <= 0.05 for _, err, _, _ in rel_errors)
@@ -295,7 +294,7 @@ def test_criterion_11_irregular_regime_stays_bounded():
     p = equilibria.resolve_r_star(params_for(DELTA, 0.159, 8.0, 10 ** 0.73))
     big_t = p.m / p.r_star
     buf = simulate.build_initial(HistorySpec.at_equilibrium(1e-2, 1e-2), p, big_t / 400)
-    traj = simulate.integrate(buf, p, 2000.0)
+    traj = simulate.integrate(buf, 2000.0)
     in_bounds = (
         traj.termination is Termination.HORIZON_REACHED
         and np.all(traj.n > 0) and np.all(traj.p > 0) and np.all(traj.z > 0)

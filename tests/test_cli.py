@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tde_plankton import checks, cli, continuation, linearize
+from tde_plankton import checks, cli, continuation, linearize, simulate
 from tde_plankton.config import SCHEMA, build_config, dump_flat, parse_flat_text
-from tde_plankton.exceptions import ConfigError
+from tde_plankton.exceptions import ConfigError, DomainError
 from tde_plankton.model import ModelParams
 from tde_plankton.presets import PRESETS
 
@@ -152,6 +152,17 @@ class TestExitCodes:
         assert run_cli(["check", "--out", str(tmp_path)]) == 0
         report = (tmp_path / "report.jsonl").read_text().splitlines()
         assert all(json.loads(line)["status"] in ("pass", "skipped") for line in report)
+
+    @pytest.mark.parametrize("sets", [
+        ["model.m=15"], ["model.m=25", "model.delta0=0.17"],
+    ])
+    def test_check_suite_passes_at_long_delays(self, tmp_path, sets):
+        # the E1 delay is long here (T ~ 148 at m = 15): sample points far
+        # left of the imaginary axis would overflow exp(-s T)
+        args = ["check", "--out", str(tmp_path)]
+        for item in sets:
+            args += ["--set", item]
+        assert run_cli(args) == 0
 
 
 class TestWriteCsv:
@@ -420,7 +431,18 @@ class TestCheckHooks:
 
             monkeypatch.setattr(linearize, "_delay_terms", patched)
         params = ModelParams(delta0=0.17, l=0.159, m=5.0, n_total=1.0)
-        assert checks.check_char_series_continuity(params).status == "fail"
+        assert checks.check_char_series_continuity(params)[0] is False
+
+    def test_raising_check_fails_under_its_report_name(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise DomainError("predictor left the positive domain; reduce dt_hat")
+
+        monkeypatch.setattr(simulate, "integrate", fail)
+        results = checks.run_check_suite(ModelParams(delta0=0.17, l=0.159, m=5.0, n_total=1.0))
+        (tau,) = [r for r in results if r.name == "tau_running_consistency"]
+        assert tau.status == "fail"
+        assert tau.detail.startswith("raised DomainError: predictor left")
+        assert [r.name for r in results if r.status == "fail"] == ["tau_running_consistency"]
 
     def test_periodicity_scope(self):
         with_mortality = {

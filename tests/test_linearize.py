@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -602,7 +603,8 @@ class TestNewtonSweepCompaction:
     @given(lin=sweep_lin(), max_iter=st.integers(0, 6))
     def test_an_early_stop_keeps_every_iterate(self, lin, max_iter):
         seeds = np.concatenate([scan_seeds(lin, 64), odd_seeds(lin)])
-        got, ok = linearize._newton_batch(seeds, lin, max_iter=max_iter)
+        with mock.patch.object(linearize, "NEWTON_MAX_ITER", max_iter):
+            got, ok = linearize._newton_batch(seeds, lin)
         want, want_ok = full_array_newton(seeds, lin, max_iter=max_iter)
         assert_bitwise_equal(got, want)
         assert np.array_equal(ok, want_ok)
@@ -625,7 +627,8 @@ class TestRootAcceptance:
     @given(lin=sweep_lin(), max_iter=st.sampled_from([0, 1, 5, 50]))
     def test_no_root_where_the_bound_is_infinite(self, lin, max_iter):
         seeds = np.concatenate([scan_seeds(lin, 256), odd_seeds(lin)])
-        s, ok = linearize._newton_batch(seeds, lin, max_iter=max_iter)
+        with mock.patch.object(linearize, "NEWTON_MAX_ITER", max_iter):
+            s, ok = linearize._newton_batch(seeds, lin)
         assert np.isfinite(acceptance_bound(s[ok], lin)).all()
         assert np.isfinite(linearize.char_scale(s[ok], lin)).all()
 
@@ -637,7 +640,8 @@ class TestRootAcceptance:
         far = (np.isfinite(linearize.char_fn(seeds, lin))
                & ~np.isfinite(linearize.char_scale(seeds, lin)))
         assert far.any()
-        _, ok = linearize._newton_batch(seeds, lin, max_iter=0)
+        with mock.patch.object(linearize, "NEWTON_MAX_ITER", 0):
+            _, ok = linearize._newton_batch(seeds, lin)
         assert not ok[far].any()
         assert linearize.rightmost_real_part(lin, grid_n=128) == pytest.approx(-0.010370, abs=5e-7)
 

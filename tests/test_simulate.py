@@ -12,6 +12,7 @@ from tde_plankton.exceptions import (
     OutOfRegionError,
 )
 from tde_plankton.model import ModelParams
+from tde_plankton.presets import preset_values
 from tde_plankton.simulate import HistorySpec, Termination
 
 
@@ -119,7 +120,7 @@ class TestIntegrate:
         e2 = equilibria.solve_e2(p)
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 200)
-        traj = simulate.integrate(buf, p, 1000.0)
+        traj = simulate.integrate(buf, 1000.0)
         dev = max(
             np.max(np.abs(traj.n - e2.n_star)),
             np.max(np.abs(traj.p - e2.p_star)),
@@ -137,7 +138,7 @@ class TestIntegrate:
             buf = simulate.build_initial(
                 HistorySpec.at_equilibrium(1e-3, 1e-3), p, big_t / 200
             )
-            traj = simulate.integrate(buf, p, 1200.0)
+            traj = simulate.integrate(buf, 1200.0)
             amp = np.abs(traj.p - e2.p_star)
             q = len(amp) // 4
             outcomes[nt] = (1e-3 * e2.p_star, np.max(amp[3 * q:]))
@@ -156,7 +157,7 @@ class TestIntegrate:
         buf = simulate.build_initial(
             HistorySpec.constant(0.3 * nt, 0.1 * nt), p, big_t / 20000
         )
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 120.0), p)
+        traj = simulate.integrate(buf, 120.0)
         assert traj.termination is Termination.EXTINCTION
         fin = traj.final_state()
         assert max(abs(fin.n - nt), fin.p, abs(fin.z)) <= 1e-6 * nt
@@ -177,7 +178,7 @@ class TestIntegrate:
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(1e-2, 1e-2), p, big_t / 400
         )
-        traj = simulate.integrate(buf, p, 400.0)
+        traj = simulate.integrate(buf, 400.0)
         for arr in (traj.n, traj.p, traj.z):
             assert np.all(arr > 0)
             assert np.all(arr < p.n_total)
@@ -188,7 +189,7 @@ class TestIntegrate:
         )
         e2 = equilibria.solve_e2(p)
         buf = simulate.build_initial(HistorySpec.at_equilibrium(1e-2, 0), p, 0.01)
-        traj = simulate.integrate(buf, p, 400.0)
+        traj = simulate.integrate(buf, 400.0)
         fin = traj.final_state()
         assert abs(fin.p - e2.p_star) <= 1e-6
         assert np.max(np.abs(traj.cons_residual)) <= 1e-14
@@ -199,8 +200,21 @@ class TestIntegrate:
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(0.05, -0.05), p, big_t / 64
         )
-        traj = simulate.integrate(buf, p, 4 * big_t, tau_refresh_interval=1)
+        traj = simulate.integrate(buf, 4 * big_t, tau_refresh_interval=1)
         assert traj.tau_drift_max <= 1e-12 * np.max(traj.tau_m)
+
+    def test_rate_floor_in_the_predictor_ends_the_run(self):
+        # the collapsing phytoplankton drives R(p) below r_floor at a
+        # predictor, and stage two's singular-rate guard ends the run there
+        nt = float(preset_values("extinction")["model.n_total"])
+        p = equilibria.resolve_r_star(
+            ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=nt, r_floor=1e-4)
+        )
+        big_t = p.m / p.r_star
+        buf = simulate.build_initial(HistorySpec.constant(0.3 * nt, 0.1 * nt), p, big_t / 2000)
+        traj = simulate.integrate(buf, 120.0)
+        assert traj.termination is Termination.SINGULAR_RATE
+        assert len(traj) == 89
 
     def test_conservation_residual_second_order(self):
         p = fig6_params()
@@ -210,7 +224,7 @@ class TestIntegrate:
             buf = simulate.build_initial(
                 HistorySpec.at_equilibrium(1e-2, -1e-2), p, big_t / panels
             )
-            traj = simulate.integrate(buf, p, 30.0)
+            traj = simulate.integrate(buf, 30.0)
             worst.append(np.max(np.abs(traj.cons_residual)))
         assert 3.2 <= worst[0] / worst[1] <= 4.8
 
@@ -253,7 +267,7 @@ class TestConservationColumn:
         spec, p, dt_hat, horizon = make()
         buf = simulate.build_initial(spec, p, dt_hat)
         row0 = buf.now_index
-        traj = simulate.integrate(buf, p, horizon)
+        traj = simulate.integrate(buf, horizon)
         off_grid = traj.termination is Termination.EXTINCTION and not math.isclose(
             traj.t_hat[-1] - traj.t_hat[-2], dt_hat, rel_tol=1e-6
         )
@@ -270,7 +284,28 @@ class TestConservationColumn:
             assert traj.cons_residual[-1] == traj.cons_residual[-2]
 
 
+def _clock_loop(t_hat, inv_r):
+    """Trapezoid clock of r_star/R from the first sample, one panel at a time."""
+    out, acc = [0.0], 0.0
+    for i in range(len(t_hat) - 1):
+        acc += 0.5 * (t_hat[i + 1] - t_hat[i]) * (inv_r[i] + inv_r[i + 1])
+        out.append(acc)
+    return np.array(out)
+
+
 class TestPhysicalTime:
+    @pytest.mark.parametrize("make", [_fig6_run, _run_without_delay])
+    def test_runs_carry_their_clock(self, make):
+        spec, p, dt_hat, horizon = make()
+        buf = simulate.build_initial(spec, p, dt_hat)
+        row0 = buf.now_index
+        traj = simulate.integrate(buf, horizon)
+        assert np.isfinite(traj.t).all() and np.isfinite(traj.hist_t).all()
+        assert traj.t.tolist() == _clock_loop(traj.t_hat.tolist(), traj.inv_r.tolist()).tolist()
+        hist = _clock_loop(buf.t_hat[:row0 + 1].tolist(), buf.inv_r[:row0 + 1].tolist())
+        assert traj.hist_t.tolist() == (hist - hist[-1]).tolist()
+        assert traj.hist_t.size == row0 + 1 and traj.hist_t[-1] == 0.0
+
     def test_identity_for_constant_response(self):
         p = equilibria.resolve_r_star(
             ModelParams(delta0=0.0, l=None, m=2.0, n_total=0.3)
@@ -279,7 +314,7 @@ class TestPhysicalTime:
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(1e-3, 1e-3), p, big_t / 100
         )
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 40.0), p)
+        traj = simulate.integrate(buf, 40.0)
         assert np.max(np.abs(traj.t - traj.t_hat)) == 0.0
 
     def test_constant_rescale_with_overridden_reference(self):
@@ -291,7 +326,7 @@ class TestPhysicalTime:
         p = base.with_r_star(0.5 * r_eq)
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 100)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 20.0), p)
+        traj = simulate.integrate(buf, 20.0)
         assert np.allclose(traj.t, traj.t_hat * p.r_star / r_eq, rtol=1e-12)
 
     def test_round_trip_is_second_order(self):
@@ -302,7 +337,7 @@ class TestPhysicalTime:
             buf = simulate.build_initial(
                 HistorySpec.at_equilibrium(5e-2, -5e-2), p, big_t / panels
             )
-            traj = simulate.to_physical_time(simulate.integrate(buf, p, 40.0), p)
+            traj = simulate.integrate(buf, 40.0)
             r_over = 1.0 / traj.inv_r
             incr = 0.5 * np.diff(traj.t) * (r_over[:-1] + r_over[1:])
             t_hat_back = np.concatenate(([0.0], np.cumsum(incr)))
@@ -315,7 +350,7 @@ class TestPhysicalTime:
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(1e-2, 1e-2), p, big_t / 100
         )
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 60.0), p)
+        traj = simulate.integrate(buf, 60.0)
         assert np.all(np.diff(traj.t) > 0)
 
 
@@ -326,8 +361,8 @@ class TestTdeResidual:
         )
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 100)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 4 * big_t), p)
-        assert simulate.tde_residual(traj, p) <= 1e-8
+        traj = simulate.integrate(buf, 4 * big_t)
+        assert simulate.tde_residual(traj) <= 1e-8
 
     def test_refinement_halves_twice(self):
         p = fig6_params()
@@ -337,8 +372,8 @@ class TestTdeResidual:
             buf = simulate.build_initial(
                 HistorySpec.at_equilibrium(1e-2, -1e-2), p, big_t / panels
             )
-            traj = simulate.to_physical_time(simulate.integrate(buf, p, 35.0), p)
-            vals.append(simulate.tde_residual(traj, p))
+            traj = simulate.integrate(buf, 35.0)
+            vals.append(simulate.tde_residual(traj))
         assert 3.2 <= vals[0] / vals[1] <= 4.8
         assert 3.2 <= vals[1] / vals[2] <= 4.8
 
@@ -355,7 +390,7 @@ class TestTdeResidual:
             HistorySpec.constant(0.05, 0.02), p, big_t / 400
         )
         horizon = 6.0
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, horizon), p)
+        traj = simulate.integrate(buf, horizon)
 
         n0 = float(buf.n[buf.n_delay_panels])
         surv = math.exp(-p.delta0 * big_t)
@@ -407,7 +442,7 @@ class TestTdeResidual:
         p = fig6_params()
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(1e-2, -1e-2), p, big_t / 200)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 35.0), p)
+        traj = simulate.integrate(buf, 35.0)
         t, worst = traj.t, 0.0
         first = int(np.argmax(traj.t_hat >= 2.0 * big_t + 2.0 * traj.dt_hat))
         for i in range(first, t.size - 1):
@@ -430,15 +465,15 @@ class TestTdeResidual:
             for f, arr in zip(rhs, (traj.n, traj.p, traj.z)):
                 deriv = w[0] * arr[i - 1] + w[1] * arr[i] + w[2] * arr[i + 1]
                 worst = max(worst, abs(deriv - f) / max(1.0, p.n_total))
-        assert simulate.tde_residual(traj, p) == pytest.approx(worst, rel=1e-14)
+        assert simulate.tde_residual(traj) == pytest.approx(worst, rel=1e-14)
 
     def test_short_run_rejected(self):
         p = fig6_params()
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 50)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, big_t), p)
+        traj = simulate.integrate(buf, big_t)
         with pytest.raises(InsufficientHistoryError):
-            simulate.tde_residual(traj, p)
+            simulate.tde_residual(traj)
 
 
 class TestReconstructRho:
@@ -447,9 +482,9 @@ class TestReconstructRho:
         e2 = equilibria.solve_e2(p)
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 800)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 30.0), p)
+        traj = simulate.integrate(buf, 30.0)
         s = np.linspace(0.0, p.m, 13)
-        rho = simulate.reconstruct_rho(traj, float(traj.t[-1]), s, p)
+        rho = simulate.reconstruct_rho(traj, float(traj.t[-1]), s)
         expect = equilibria.equilibrium_spectrum(e2, s, p)
         assert np.max(np.abs(rho - expect) / expect) <= 1e-6
 
@@ -457,7 +492,7 @@ class TestReconstructRho:
         p = fig6_params()
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(2e-2, -2e-2), p, big_t / 200)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 40.0), p)
+        traj = simulate.integrate(buf, 40.0)
         t_q = 0.7 * float(traj.t[-1])
         s = np.linspace(0.0, p.m, 201)
         expect = []
@@ -465,7 +500,7 @@ class TestReconstructRho:
             t_del, p_d, z_d = _lag_loop(traj, p, t_q, s_j)
             expect.append(math.exp(-p.delta0 * (t_q - t_del)) * (p.gamma * p.g) * z_d
                           * model.h_grazing(p_d, p) / model.r_growth(p_d, p))
-        assert simulate.reconstruct_rho(traj, t_q, s, p).tolist() == expect
+        assert simulate.reconstruct_rho(traj, t_q, s).tolist() == expect
 
     def test_zero_without_grazers(self):
         p = equilibria.resolve_r_star(
@@ -473,10 +508,8 @@ class TestReconstructRho:
         )
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.constant(0.3, 0.0), p, big_t / 100)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 30.0), p)
-        rho = simulate.reconstruct_rho(
-            traj, float(traj.t[-1]), np.linspace(0, p.m, 7), p
-        )
+        traj = simulate.integrate(buf, 30.0)
+        rho = simulate.reconstruct_rho(traj, float(traj.t[-1]), np.linspace(0, p.m, 7))
         assert np.all(rho == 0.0)
 
     def test_conservation_closure_along_a_run(self):
@@ -485,10 +518,10 @@ class TestReconstructRho:
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(2e-2, -2e-2), p, big_t / 400
         )
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 40.0), p)
+        traj = simulate.integrate(buf, 40.0)
         t_q = float(traj.t[-1])
         s = np.linspace(0.0, p.m, 1001)
-        rho = simulate.reconstruct_rho(traj, t_q, s, p)
+        rho = simulate.reconstruct_rho(traj, t_q, s)
         pool = float(np.sum(0.5 * np.diff(s) * (rho[:-1] + rho[1:])))
         i = len(traj) - 1
         total = traj.n[i] + traj.p[i] + traj.z[i] + pool
@@ -498,19 +531,17 @@ class TestReconstructRho:
         p = fig6_params()
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 100)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 20.0), p)
+        traj = simulate.integrate(buf, 20.0)
         with pytest.raises(OutOfRegionError):
-            simulate.reconstruct_rho(
-                traj, float(traj.hist_t[0]) - 1.0, [0.0], p
-            )
+            simulate.reconstruct_rho(traj, float(traj.hist_t[0]) - 1.0, [0.0])
 
     def test_maturity_grid_bound(self):
         p = fig6_params()
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 100)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 20.0), p)
+        traj = simulate.integrate(buf, 20.0)
         with pytest.raises(DomainError):
-            simulate.reconstruct_rho(traj, float(traj.t[-1]), [p.m * 1.01], p)
+            simulate.reconstruct_rho(traj, float(traj.t[-1]), [p.m * 1.01])
 
 
 class TestDeltaDecay:
@@ -549,7 +580,7 @@ class TestDeltaDecay:
         big_t = p.m / p.r_star
         spec = HistorySpec.at_equilibrium(0, 0, n0_offset=0.05 * p.n_total)
         buf = simulate.build_initial(spec, p, big_t / 400)
-        traj = simulate.integrate(buf, p, 20.0)
+        traj = simulate.integrate(buf, 20.0)
         delta = traj.cons_residual
         dt = traj.t_hat[1] - traj.t_hat[0]
         fd = (delta[2:] - delta[:-2]) / (2 * dt)
@@ -564,7 +595,7 @@ class TestMeasureFrequency:
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(1e-3, 1e-3), p, big_t / 200
         )
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 800.0), p)
+        traj = simulate.integrate(buf, 800.0)
         freq = simulate.measure_frequency(traj)
         assert freq == pytest.approx(0.8443, rel=0.02)
 
@@ -574,5 +605,5 @@ class TestMeasureFrequency:
         )
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 100)
-        traj = simulate.to_physical_time(simulate.integrate(buf, p, 30.0), p)
+        traj = simulate.integrate(buf, 30.0)
         assert simulate.measure_frequency(traj) is None
