@@ -8,7 +8,8 @@ finite-difference Jacobian, one Newton corrector step, the root scan at
 grid 256 and 512, one stability verdict (``rightmost_real_part``) at grid
 512, the scan's dedupe of its accepted iterates, the coexistence solve, and
 char_fn on one scalar and on 512 imaginary-axis seeds.  On fig6-stable with
-200 panels per delay: one ``integrate`` step, from a run of two delays.
+200 panels per delay: one ``integrate`` step, from a run of two delays, and
+``juvenile_pool`` over the delay windows of that run.
 
 Each line is the minimum over ``--repeats`` rounds of the mean time per
 call (per step for ``integrate``) in a round (plain ``time.perf_counter``),
@@ -19,14 +20,13 @@ e.g.
 """
 
 import argparse
-import copy
 import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 
-from tde_plankton import continuation, equilibria, linearize, simulate
+from tde_plankton import continuation, equilibria, linearize, model, simulate
 from tde_plankton.config import build_config
 from tde_plankton.presets import preset_values
 
@@ -39,15 +39,19 @@ BOUNDARY_POINT = (0.6595510534361235, 0.236286571992287, 0.41112209023762486,
 PANELS, DELAYS = 200, 2
 
 
-def _integrate_step():
-    """(steps per run, a run of ``integrate`` on fig6-stable from a copy of
-    one initial history)."""
+def _simulation_layers():
+    """(steps per run, a run of ``integrate`` on fig6-stable from one initial
+    history, and ``juvenile_pool`` over the windows of that run)."""
     params = equilibria.resolve_r_star(
         build_config(preset_values("fig6-stable"), None, {}).params)
     dt = params.m / params.r_star / PANELS
     buf = simulate.build_initial(simulate.HistorySpec.at_equilibrium(1e-3, 1e-3), params, dt)
     steps = PANELS * DELAYS
-    return steps, lambda: simulate.integrate(copy.deepcopy(buf), steps * dt)
+    traj = simulate.integrate(buf, steps * dt)
+    t_hat, p, z = (np.concatenate([getattr(buf, k)[:-1], getattr(traj, k)])
+                   for k in ("t_hat", "p", "z"))
+    return (steps, lambda: simulate.integrate(buf, steps * dt),
+            lambda: model.juvenile_pool(t_hat, p, z, PANELS, params))
 
 
 def _layers():
@@ -75,7 +79,7 @@ def _layers():
     def scan(grid_n):
         return lambda: linearize.scan_roots(replace(lin), grid_n=grid_n)
 
-    steps, run_steps = _integrate_step()
+    steps, run_steps, pool = _simulation_layers()
     xl = x.tolist()
     return [
         ("_residual", 200, lambda: continuation._residual(xl, params, m_scale), 1),
@@ -91,6 +95,7 @@ def _layers():
         ("char_fn scalar", 500, lambda: linearize.char_fn(1j * omega, lin), 1),
         ("char_fn 512 seeds", 100, lambda: linearize.char_fn(seeds, lin), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
+        (f"juvenile_pool ({steps + 1} windows)", 5, pool, 1),
     ]
 
 

@@ -260,7 +260,13 @@ def check_tau_running_consistency(params: ModelParams) -> Outcome:
         p_e2 = replace(p_e2, n_total=4.0 * equilibria.compute_nt2(p_e2))
     p_e2 = equilibria.resolve_r_star(p_e2)
     big_t = p_e2.m / p_e2.r_star
-    buf = simulate.build_initial(simulate.HistorySpec.at_equilibrium(0.05, -0.05), p_e2, big_t / 64)
+    # the explicit step must resolve the fastest equilibrium rate, the
+    # nutrient's uptake: T times that rate reaches 1e4 near the coexistence
+    # ceiling, where T/64 drives the small nutrient pool negative
+    lin = linearize.build_linearization(equilibria.solve_e2(p_e2), p_e2)
+    panels = max(64, 2 ** math.ceil(math.log2(lin.t_delay * abs(lin.a1[0, 0]))))
+    buf = simulate.build_initial(
+        simulate.HistorySpec.at_equilibrium(0.05, -0.05), p_e2, big_t / panels)
     traj = simulate.integrate(buf, 4.0 * big_t, tau_refresh_interval=1)
     tol = 1e-12 * max(1.0, float(np.max(traj.tau_m)))
     return (traj.tau_drift_max <= tol,

@@ -3,8 +3,9 @@
 This module holds the parameter container, the saturating functional
 responses (nutrient uptake, grazing, juvenile growth rate) together with
 their derivatives and inverses, the right-hand side of the fixed-delay form
-of the model written in transformed time, and the conserved total-biomass
-functional evaluated over a uniformly sampled history window.
+of the model written in transformed time, the juvenile-pool quadrature over
+every delay window of a sampled run, and the conserved total-biomass
+functional of one window.
 
 Units are fixed throughout the package: biomass pools in uM nitrogen, time
 in days, and maturity in dimensionless units accumulated at rate R(P) with
@@ -32,6 +33,11 @@ R_FLOOR_DEFAULT = 1e-14
 
 #: Saturation limit of both growth-response variants (maturity units/day).
 R_INFINITY = 1.0
+
+#: Window entries per block of :func:`juvenile_pool`.  Sizing the blocks by
+#: entries rather than windows keeps the scratch arrays at a few hundred kB
+#: whatever the number of panels per delay.
+POOL_BLOCK_ENTRIES = 1 << 14
 
 
 class StateNPZ(NamedTuple):
@@ -247,41 +253,49 @@ def _rhs(
 
 
 def juvenile_pool(
-    p_window: np.ndarray,
-    z_window: np.ndarray,
-    dt_hat: float,
+    t_hat: np.ndarray,
+    p: np.ndarray,
+    z: np.ndarray,
+    lag: int,
     params: ModelParams,
-) -> float:
-    """Integrated juvenile biomass over a uniformly sampled delay window.
+) -> np.ndarray:
+    """Integrated juvenile biomass of every window of ``lag + 1`` samples.
 
-    The window samples run in increasing transformed time and must span
-    exactly the delay ``T = m/r_star`` (the last sample is "now").  The
+    The samples run in increasing transformed time, one delay being ``lag``
+    steps; window k covers samples k..k+lag, the last being "now", so the
+    result has ``len(t_hat) - lag`` entries (zeros when ``lag == 0``).  The
     maturity integral uses the composite trapezoid rule on the grid mapped
-    through s = r_star * (t_hat_now - r), with the maturation lag
-    tau_hat(s) accumulated by the same rule.
+    through s = r_star * (t_hat_now - r), with the maturation lag tau_hat(s)
+    accumulated by the same rule and each window's step taken from its own
+    first two stored times (stored times drift from multiples of the step by
+    rounding; over the fig7 horizon a fixed step would move the pool by
+    1e-12*n_total).  Windows go in blocks of about POOL_BLOCK_ENTRIES entries.
     """
     rs = params.require_r_star()
-    n_panels = p_window.shape[0] - 1
-    if n_panels == 0:
-        return 0.0
-    r_vals = r_growth(p_window, params)
+    r_vals = r_growth(p, params)
     if np.any(r_vals < params.r_floor):
         raise SingularRateError("growth rate below floor inside the history window")
+    out = np.zeros(t_hat.size - lag)
+    if lag == 0:
+        return out
     inv_r = rs / r_vals
-    # tau_hat at s_j, accumulated right-to-left from "now"
-    rev = inv_r[::-1]
-    tau_hat = np.concatenate(([0.0], np.cumsum(dt_hat * 0.5 * (rev[:-1] + rev[1:]))))
-    integrand = (
-        np.exp(-params.delta0 * tau_hat)
-        * params.gamma
-        * params.g
-        * z_window[::-1]
-        * h_grazing(p_window[::-1], params)
-        * inv_r[::-1]
-        / rs
-    )
-    ds = rs * dt_hat
-    return float(ds * (integrand[0] / 2 + integrand[1:-1].sum() + integrand[-1] / 2))
+    # per-sample birth flux over r_star
+    weight = params.gamma * params.g * z * h_grazing(p, params) * inv_r / rs
+    dt = t_hat[1:] - t_hat[:-1]
+    # reversed, each window runs from "now" backwards
+    weight_win, inv_r_win = (np.lib.stride_tricks.sliding_window_view(x, lag + 1)[:, ::-1]
+                             for x in (weight, inv_r))
+    block = max(1, POOL_BLOCK_ENTRIES // (lag + 1))
+    for a in range(0, out.size, block):
+        b = min(a + block, out.size)
+        rev = inv_r_win[a:b]
+        tau = np.zeros((b - a, lag + 1))
+        np.cumsum(dt[a:b, None] * 0.5 * (rev[:, :-1] + rev[:, 1:]), axis=1, out=tau[:, 1:])
+        integrand = np.exp(-params.delta0 * tau) * weight_win[a:b]
+        out[a:b] = rs * dt[a:b] * (
+            integrand[:, 0] / 2 + integrand[:, 1:-1].sum(axis=1) + integrand[:, -1] / 2
+        )
+    return out
 
 
 def conservation_value(
@@ -316,10 +330,12 @@ def conservation_value(
         raise InsufficientHistoryError(
             f"window has {t_hat.size} samples but the delay spans {n_round + 1}"
         )
+    window = slice(-(n_round + 1), None)
     pool = juvenile_pool(
-        np.asarray(p, dtype=float)[-(n_round + 1):],
-        np.asarray(z, dtype=float)[-(n_round + 1):],
-        dt,
+        t_hat[window],
+        np.asarray(p, dtype=float)[window],
+        np.asarray(z, dtype=float)[window],
+        n_round,
         params,
     )
-    return float(n[-1] + p[-1] + z[-1] + pool)
+    return float(n[-1] + p[-1] + z[-1] + pool[0])

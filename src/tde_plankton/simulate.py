@@ -1,4 +1,4 @@
-"""Time integration of the fixed-delay system with history management.
+"""Time integration of the fixed-delay system from a sampled history.
 
 The integrator works in transformed time, where the delay is the constant
 T = m/r_star and the state-dependence of the maturation lag survives only
@@ -9,9 +9,11 @@ order without history interpolation.  The running threshold quadrature
 tau_hat(m) is advanced panel-by-panel and refreshed from scratch
 periodically to kill accumulation drift.
 
+A run is one series of samples: the history window followed by the steps.
 The conservation residual of every row (N + P + Z plus the juvenile pool,
 minus the total biomass) is not needed by the step loop, so it is filled in
-after the loop by one vectorised pass over the trailing delay windows.
+after the loop by :func:`model.juvenile_pool`, the quadrature that also set
+the nutrient level at time zero.
 
 Each run comes back with its physical-time clock.  Diagnostics read the
 run's own parameters to reconstruct the juvenile maturity spectrum, measure
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import equilibria, model
 from .equilibria import EquilibriumKind
@@ -44,11 +45,6 @@ EXTINCTION_FLOOR_FRAC = 1e-12
 
 #: Steps between from-scratch refreshes of the running threshold quadrature.
 TAU_REFRESH_INTERVAL = 1000
-
-#: Window entries per block of the post-loop conservation pass.  Sizing the
-#: blocks by entries rather than rows keeps the scratch arrays at a few
-#: hundred kB whatever the number of panels per delay.
-CONS_BLOCK_ENTRIES = 1 << 14
 
 
 class Termination(Enum):
@@ -68,14 +64,11 @@ class HistorySpec:
     mismatch).
     """
 
-    kind: str  # "equilibrium" | "constant" | "sampled"
+    kind: str  # "equilibrium" | "constant"
     eps_p: float = 0.0
     eps_z: float = 0.0
     p0: float | None = None
     z0: float | None = None
-    t_grid: tuple[float, ...] | None = None
-    p_samples: tuple[float, ...] | None = None
-    z_samples: tuple[float, ...] | None = None
     n0_offset: float = 0.0
 
     @classmethod
@@ -87,81 +80,33 @@ class HistorySpec:
     def constant(cls, p0: float, z0: float, n0_offset: float = 0.0) -> "HistorySpec":
         return cls(kind="constant", p0=p0, z0=z0, n0_offset=n0_offset)
 
-    @classmethod
-    def sampled(cls, t_grid, p_samples, z_samples,
-                n0_offset: float = 0.0) -> "HistorySpec":
-        return cls(
-            kind="sampled",
-            t_grid=tuple(float(t) for t in t_grid),
-            p_samples=tuple(float(p) for p in p_samples),
-            z_samples=tuple(float(z) for z in z_samples),
-            n0_offset=n0_offset,
-        )
 
-
+@dataclass(frozen=True)
 class HistoryBuffer:
-    """Uniform transformed-time samples covering at least one delay window.
+    """The initial history: uniform transformed-time samples on one delay
+    window [-T, 0], the last at time zero.
 
-    Stores the whole run (the window is a trailing slice); keeps the running
-    trapezoid sum for tau_hat(m) alongside per-sample 1/R factors.
+    ``inv_r`` holds the per-sample factors r_star/R(P) and ``tau_m`` the
+    maturation lag tau_hat(m) at time zero, their trapezoid over the window.
+    The arrays are read-only, so one history can start any number of runs.
     """
 
-    def __init__(self, dt_hat: float, n_delay_panels: int, params: ModelParams):
-        self.dt_hat = dt_hat
-        self.n_delay_panels = n_delay_panels
-        self.params = params
-        cap = n_delay_panels + 1024
-        self.t_hat = np.empty(cap)
-        self.n = np.empty(cap)
-        self.p = np.empty(cap)
-        self.z = np.empty(cap)
-        self.inv_r = np.empty(cap)
-        self.size = 0
-        self.tau_m_running = 0.0
+    t_hat: np.ndarray
+    n: np.ndarray
+    p: np.ndarray
+    z: np.ndarray
+    inv_r: np.ndarray
+    tau_m: float
+    dt_hat: float
+    params: ModelParams
 
-    def _grow(self) -> None:
-        cap = self.t_hat.size * 2
-        for name in ("t_hat", "n", "p", "z", "inv_r"):
-            arr = getattr(self, name)
-            new = np.empty(cap)
-            new[: self.size] = arr[: self.size]
-            setattr(self, name, new)
-
-    def append(self, t_hat: float, state: StateNPZ, inv_r: float | None = None) -> None:
-        if self.size == self.t_hat.size:
-            self._grow()
-        i = self.size
-        self.t_hat[i] = t_hat
-        self.n[i], self.p[i], self.z[i] = state
-        if inv_r is None:
-            r = model._r(state.p, self.params)
-            if r < self.params.r_floor:
-                raise SingularRateError("growth rate below floor while appending history")
-            inv_r = self.params.require_r_star() / r
-        self.inv_r[i] = inv_r
-        self.size = i + 1
+    def __post_init__(self) -> None:
+        for arr in (self.t_hat, self.n, self.p, self.z, self.inv_r):
+            arr.flags.writeable = False
 
     @property
-    def now_index(self) -> int:
-        return self.size - 1
-
-    def tau_m_from_scratch(self, i_now: int | None = None) -> float:
-        """Trapezoid of r_star/R over the delay window ending at i_now."""
-        if self.n_delay_panels == 0:
-            return 0.0
-        i = self.now_index if i_now is None else i_now
-        w = self.inv_r[i - self.n_delay_panels: i + 1]
-        return float(self.dt_hat * (0.5 * w[0] + w[1:-1].sum() + 0.5 * w[-1]))
-
-    def window(self, i_now: int | None = None) -> tuple[np.ndarray, ...]:
-        i = self.now_index if i_now is None else i_now
-        j = i - self.n_delay_panels
-        return (
-            self.t_hat[j: i + 1],
-            self.n[j: i + 1],
-            self.p[j: i + 1],
-            self.z[j: i + 1],
-        )
+    def n_delay_panels(self) -> int:
+        return self.t_hat.size - 1
 
 
 @dataclass
@@ -197,13 +142,21 @@ class Trajectory:
         return StateNPZ(float(self.n[-1]), float(self.p[-1]), float(self.z[-1]))
 
 
+def _lag_trapezoid(inv_r: np.ndarray, dt_hat: float) -> float:
+    """tau_hat(m) over one delay window: the trapezoid of its r_star/R
+    factors ``inv_r`` (zero for a one-sample window, that is without delay)."""
+    if inv_r.size < 2:
+        return 0.0
+    return float(dt_hat * (0.5 * inv_r[0] + inv_r[1:-1].sum() + 0.5 * inv_r[-1]))
+
+
 def build_initial(spec: HistorySpec, params: ModelParams, dt_hat: float) -> HistoryBuffer:
     """Fill the delay window from a history specification.
 
-    The juvenile integral implied by the (p, z) history and the maturation
-    lags tau_hat(s) are both accumulated with the same composite trapezoid
-    rule the integrator uses, so the conservation law holds exactly on the
-    discrete grid at time zero (up to the requested offset).
+    The nutrient level at time zero comes from :func:`model.juvenile_pool`,
+    the quadrature that :func:`integrate` applies to every row's window, so
+    the conservation law holds on the discrete grid at time zero up to the
+    requested offset and the last bits of one sum.
     """
     params = equilibria.resolve_r_star(params)
     rs = params.require_r_star()
@@ -232,14 +185,6 @@ def build_initial(spec: HistorySpec, params: ModelParams, dt_hat: float) -> Hist
             raise DomainError("constant history needs p0 and z0")
         p_hist = np.full(grid.size, spec.p0)
         z_hist = np.full(grid.size, spec.z0)
-    elif spec.kind == "sampled":
-        if spec.t_grid is None:
-            raise DomainError("sampled history needs a time grid")
-        tg = np.asarray(spec.t_grid, dtype=float)
-        if tg[0] > grid[0] or tg[-1] < grid[-1]:
-            raise DomainError("sampled history must cover the whole delay window")
-        p_hist = np.interp(grid, tg, np.asarray(spec.p_samples, dtype=float))
-        z_hist = np.interp(grid, tg, np.asarray(spec.z_samples, dtype=float))
     else:
         raise DomainError(f"unknown history kind {spec.kind!r}")
 
@@ -248,18 +193,16 @@ def build_initial(spec: HistorySpec, params: ModelParams, dt_hat: float) -> Hist
     if np.any(z_hist < 0):
         raise DomainError("zooplankton history must be nonnegative")
 
-    pool = model.juvenile_pool(p_hist, z_hist, dt_hat, params)
+    # juvenile_pool also holds R above its floor on every sample
+    pool = model.juvenile_pool(grid, p_hist, z_hist, n_panels, params)[0]
     n0 = params.n_total - p_hist[-1] - z_hist[-1] - pool + spec.n0_offset
     if n0 <= 0:
         raise InfeasibleBiomassError(
             f"history implies nonpositive nutrient pool n0={n0:g}"
         )
-
-    buf = HistoryBuffer(dt_hat, n_panels, params)
-    for i in range(grid.size):
-        buf.append(float(grid[i]), StateNPZ(n0, float(p_hist[i]), float(z_hist[i])))
-    buf.tau_m_running = buf.tau_m_from_scratch()
-    return buf
+    inv_r = rs / model.r_growth(p_hist, params)
+    return HistoryBuffer(grid, np.full(grid.size, n0), p_hist, z_hist, inv_r,
+                         _lag_trapezoid(inv_r, dt_hat), dt_hat, params)
 
 
 def integrate(
@@ -268,9 +211,11 @@ def integrate(
     *,
     tau_refresh_interval: int = TAU_REFRESH_INTERVAL,
 ) -> Trajectory:
-    """Advance the buffer to ``horizon_hat`` with the two-stage scheme.
+    """Advance the history ``buf`` to ``horizon_hat`` with the two-stage scheme.
 
-    The run takes its parameters from the buffer.  Stage one evaluates the
+    The run takes its parameters from the buffer and leaves it untouched:
+    the history and the steps go into arrays sized once for the whole run,
+    and the trajectory holds views of them.  Stage one evaluates the
     rates at the current node with the running maturation lag; stage two at
     the Euler predictor with the lag updated by the predicted panel; the
     state advances by the stage average.  A step that crosses the extinction
@@ -283,23 +228,30 @@ def integrate(
     n_steps = int(round(horizon_hat / dt))
     p_floor = EXTINCTION_FLOOR_FRAC * params.n_total
     lag = buf.n_delay_panels
+    rs = params.r_star
 
-    row0 = buf.now_index  # the row for t_hat = 0 (the end of the history window)
-    rows_tau = [buf.tau_m_running]
+    # the history window, then the steps and a spare row for a floor crossing
+    size = lag + n_steps + 2
+    t_hat, n, p, z, inv_r = (np.empty(size) for _ in range(5))
+    hist = slice(0, lag + 1)
+    t_hat[hist], n[hist], p[hist], z[hist], inv_r[hist] = (
+        buf.t_hat, buf.n, buf.p, buf.z, buf.inv_r
+    )
+    tau_m = np.empty(n_steps + 2)
+    tau_m[0] = tau_now = buf.tau_m
     termination = Termination.HORIZON_REACHED
     tau_drift_max = 0.0
     crossing = None
 
+    i = lag  # the last sample written, at t_hat = 0 before the first step
     for step in range(1, n_steps + 1):
-        i = buf.now_index
-        cn, cp, cz = float(buf.n[i]), float(buf.p[i]), float(buf.z[i])
+        cn, cp, cz = float(n[i]), float(p[i]), float(z[i])
         if cp <= p_floor:
             termination = Termination.EXTINCTION
             break
-        tau_now = buf.tau_m_running
         try:
             k1n, k1p, k1z = model._rhs(
-                cn, cp, cz, float(buf.p[i - lag]), float(buf.z[i - lag]), tau_now, params
+                cn, cp, cz, float(p[i - lag]), float(z[i - lag]), tau_now, params
             )
         except SingularRateError:
             termination = Termination.SINGULAR_RATE
@@ -308,7 +260,7 @@ def integrate(
         pn, pp, pz = cn + dt * k1n, cp + dt * k1p, cz + dt * k1z
         if pp <= p_floor:
             theta = (cp - p_floor) / (cp - pp)
-            crossing = (buf.t_hat[i] + theta * dt, StateNPZ(
+            crossing = (t_hat[i] + theta * dt, StateNPZ(
                 cn + theta * dt * k1n, p_floor, max(cz + theta * dt * k1z, 0.0)
             ))
             break
@@ -320,10 +272,10 @@ def integrate(
         # lag over the predicted window: add the new panel, drop the oldest;
         # a predictor below the rate floor ends the run in stage two's _rhs
         if lag > 0:
-            inv_r_pred = params.r_star / model._r(pp, params)
-            oldest = dt * 0.5 * (buf.inv_r[i - lag] + buf.inv_r[i - lag + 1])
-            tau_pred = tau_now + dt * 0.5 * (buf.inv_r[i] + inv_r_pred) - oldest
-            p_del, z_del = float(buf.p[i + 1 - lag]), float(buf.z[i + 1 - lag])
+            inv_r_pred = rs / model._r(pp, params)
+            oldest = dt * 0.5 * (inv_r[i - lag] + inv_r[i - lag + 1])
+            tau_pred = tau_now + dt * 0.5 * (inv_r[i] + inv_r_pred) - oldest
+            p_del, z_del = float(p[i + 1 - lag]), float(z[i + 1 - lag])
         else:
             # no delay: the "delayed" sample at the next node is the node itself
             tau_pred = 0.0
@@ -339,7 +291,7 @@ def integrate(
         z_new = cz + 0.5 * dt * (k1z + k2z)
         if p_new <= p_floor:
             theta = (cp - p_floor) / (cp - p_new)
-            crossing = (buf.t_hat[i] + theta * dt, StateNPZ(
+            crossing = (t_hat[i] + theta * dt, StateNPZ(
                 cn + theta * (n_new - cn), p_floor, max(cz + theta * (z_new - cz), 0.0)
             ))
             break
@@ -352,21 +304,25 @@ def integrate(
                 )
         if n_new <= 0:
             raise DomainError("corrected step drove nutrient nonpositive; reduce dt_hat")
+        r_new = model._r(p_new, params)
+        if r_new < params.r_floor:
+            raise SingularRateError("growth rate below floor at a new sample")
 
-        buf.append(buf.t_hat[i] + dt, StateNPZ(n_new, p_new, z_new))
+        j = i + 1
+        t_hat[j], n[j], p[j], z[j], inv_r[j] = t_hat[i] + dt, n_new, p_new, z_new, rs / r_new
         if lag > 0:
-            j = i + 1
-            tau_new = tau_now + dt * 0.5 * (buf.inv_r[j - 1] + buf.inv_r[j]) - oldest
+            tau_new = tau_now + dt * 0.5 * (inv_r[i] + inv_r[j]) - oldest
             if step % tau_refresh_interval == 0:
-                scratch = buf.tau_m_from_scratch()
+                scratch = _lag_trapezoid(inv_r[j - lag: j + 1], dt)
                 tau_drift_max = max(tau_drift_max, abs(tau_new - scratch))
                 tau_new = scratch
         else:
             tau_new = 0.0
-        buf.tau_m_running = tau_new
-        rows_tau.append(tau_new)
+        tau_m[step] = tau_now = tau_new
+        i = j
 
-    cons = _conservation_residuals(buf, params, row0, buf.now_index)
+    on_grid = i + 1 - lag  # rows on the uniform grid
+    end = i + 1
     if crossing is not None:
         # The floor-crossing row sits off the uniform grid and the growth
         # rate has collapsed there, so it carries the last regular 1/R factor
@@ -374,73 +330,34 @@ def integrate(
         # diverges at the boundary), the last lag and the last on-grid
         # conservation residual.
         termination = Termination.EXTINCTION
-        buf.append(*crossing, inv_r=float(buf.inv_r[buf.now_index]))
-        rows_tau.append(rows_tau[-1])
-        cons = np.append(cons, cons[-1])
+        t_hat[end], (n[end], p[end], z[end]) = crossing
+        inv_r[end] = inv_r[i]
+        tau_m[on_grid] = tau_m[on_grid - 1]
+        end += 1
 
-    # appends never touch earlier samples, so the history is still in place
-    sl, hist = slice(row0, buf.now_index + 1), slice(0, row0 + 1)
-    t_hat, inv_r = buf.t_hat[sl].copy(), buf.inv_r[sl].copy()
-    clock = to_physical_time(buf.t_hat[hist], buf.inv_r[hist])
+    rows = slice(lag, end)
+    cons = n[rows] + p[rows] + z[rows]
+    cons[:on_grid] += model.juvenile_pool(t_hat[:i + 1], p[:i + 1], z[:i + 1], lag, params)
+    cons -= params.n_total
+    cons[on_grid:] = cons[on_grid - 1]
+    clock = to_physical_time(t_hat[hist], inv_r[hist])
     return Trajectory(
-        t_hat=t_hat,
-        t=to_physical_time(t_hat, inv_r),
-        n=buf.n[sl].copy(),
-        p=buf.p[sl].copy(),
-        z=buf.z[sl].copy(),
-        tau_m=np.array(rows_tau),
+        t_hat=t_hat[rows],
+        t=to_physical_time(t_hat[rows], inv_r[rows]),
+        n=n[rows],
+        p=p[rows],
+        z=z[rows],
+        tau_m=tau_m[:end - lag],
         cons_residual=cons,
-        inv_r=inv_r,
+        inv_r=inv_r[rows],
         termination=termination,
         dt_hat=dt,
         params=params,
         hist_t=clock - clock[-1],
-        hist_p=buf.p[hist].copy(),
-        hist_z=buf.z[hist].copy(),
+        hist_p=p[hist],
+        hist_z=z[hist],
         tau_drift_max=tau_drift_max,
     )
-
-
-def _conservation_residuals(
-    buf: HistoryBuffer, params: ModelParams, first: int, last: int
-) -> np.ndarray:
-    """N + P + Z + juvenile pool - n_total at the grid rows first..last.
-
-    Evaluates :func:`model.conservation_value` on the trailing delay window
-    of every row at once: the same trapezoid rules, with 1/R from the stored
-    r_star/R(P) factors and each window's step taken from its own first two
-    stored times.  (The stored times drift from multiples of dt_hat by
-    rounding; over the fig7 horizon a fixed dt_hat would move the residual
-    by 1e-12*n_total.)  Windows are processed in blocks of about
-    CONS_BLOCK_ENTRIES entries.
-    """
-    rows = slice(first, last + 1)
-    out = buf.n[rows] + buf.p[rows] + buf.z[rows]
-    lag = buf.n_delay_panels
-    if lag == 0:
-        return out - params.n_total
-    rs = params.r_star
-    span = slice(first - lag, last + 1)
-    t_hat, inv_r = buf.t_hat[span], buf.inv_r[span]
-    z, p = buf.z[span], buf.p[span]
-    # per-sample birth flux over r_star, and the sums of neighbouring 1/R
-    # factors that make up the lag trapezoid
-    weight = params.gamma * params.g * z * model.h_grazing(p, params) * inv_r / rs
-    pair = inv_r[:-1] + inv_r[1:]
-    dt = t_hat[1:] - t_hat[:-1]
-    # window k covers samples k..k+lag; reversed, it runs from "now" backwards
-    weight_win = sliding_window_view(weight, lag + 1)[:, ::-1]
-    pair_win = sliding_window_view(pair, lag)[:, ::-1]
-    block = max(1, CONS_BLOCK_ENTRIES // (lag + 1))
-    for a in range(0, out.size, block):
-        b = min(a + block, out.size)
-        tau = np.zeros((b - a, lag + 1))
-        np.cumsum(dt[a:b, None] * 0.5 * pair_win[a:b], axis=1, out=tau[:, 1:])
-        integrand = np.exp(-params.delta0 * tau) * weight_win[a:b]
-        out[a:b] += rs * dt[a:b] * (
-            integrand[:, 0] / 2 + integrand[:, 1:-1].sum(axis=1) + integrand[:, -1] / 2
-        )
-    return out - params.n_total
 
 
 def to_physical_time(t_hat: np.ndarray, inv_r: np.ndarray) -> np.ndarray:
@@ -450,21 +367,22 @@ def to_physical_time(t_hat: np.ndarray, inv_r: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(incr)))
 
 
-def _full_series(traj: Trajectory) -> tuple[np.ndarray, ...]:
-    """(t, p, z) of history plus run, concatenated on the physical-time axis."""
-    if traj.hist_t.size > 1:
-        t = np.concatenate([traj.hist_t[:-1], traj.t])
-        p = np.concatenate([traj.hist_p[:-1], traj.p])
-        z = np.concatenate([traj.hist_z[:-1], traj.z])
-    else:
-        t, p, z = traj.t, traj.p, traj.z
-    return t, p, z
+def _lagged(traj: Trajectory, t, s) -> tuple[np.ndarray, ...]:
+    """Lagged time t' with maturity(t) - maturity(t') = s, and P and Z there.
 
-
-def _cumulative_maturity(t: np.ndarray, p: np.ndarray, params: ModelParams) -> np.ndarray:
-    r = model.r_growth(p, params)
-    incr = 0.5 * np.diff(t) * (r[:-1] + r[1:])
-    return np.concatenate(([0.0], np.cumsum(incr)))
+    Inverts the maturity integral (the trapezoid of R(P) over physical time)
+    of the history-plus-run series at the physical times ``t`` for the
+    maturities ``s``; the last item marks the queries whose lag stays inside
+    the stored history.
+    """
+    t_full, p_full, z_full = (np.concatenate([hist[:-1], run]) for hist, run in (
+        (traj.hist_t, traj.t), (traj.hist_p, traj.p), (traj.hist_z, traj.z)))
+    r = model.r_growth(p_full, traj.params)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t_full) * (r[:-1] + r[1:]))))
+    target = np.interp(t, t_full, cum) - s
+    t_del = np.interp(target, cum, t_full)
+    return (t_del, np.interp(t_del, t_full, p_full), np.interp(t_del, t_full, z_full),
+            target >= cum[0] - 1e-12)
 
 
 def tde_residual(traj: Trajectory) -> float:
@@ -482,8 +400,6 @@ def tde_residual(traj: Trajectory) -> float:
     with first-order stencil error at the kinks.
     """
     params = traj.params
-    t_full, p_full, z_full = _full_series(traj)
-    cum = _cumulative_maturity(t_full, p_full, params)
     t_rows = traj.t
     if t_rows.size < 5:
         raise InsufficientHistoryError("run too short for interior residuals")
@@ -493,15 +409,10 @@ def tde_residual(traj: Trajectory) -> float:
     if eligible.size == 0 or eligible[0] >= t_rows.size - 1:
         raise InsufficientHistoryError("run too short to clear the start-up kinks")
 
-    # the lag solves maturity(t) - maturity(t') = m by inverting the stored
-    # integral; nodes whose lag reaches past the stored history are skipped
+    # nodes whose lag reaches past the stored history are skipped
     idx = np.arange(max(eligible[0], 1), t_rows.size - 1)
-    target = np.interp(t_rows[idx], t_full, cum) - params.m
-    inside = target >= cum[0] - 1e-12
-    idx, target = idx[inside], target[inside]
-    t_del = np.interp(target, cum, t_full)
-    p_d = np.interp(t_del, t_full, p_full)
-    z_d = np.interp(t_del, t_full, z_full)
+    t_del, p_d, z_d, inside = _lagged(traj, t_rows[idx], params.m)
+    idx, t_del, p_d, z_d = idx[inside], t_del[inside], p_d[inside], z_d[inside]
     ni, pi, zi = traj.n[idx], traj.p[idx], traj.z[idx]
     growth = params.mu * pi * model.f_uptake(ni, params)
     graze = params.g * zi * model.h_grazing(pi, params)
@@ -540,16 +451,11 @@ def reconstruct_rho(traj: Trajectory, t: float, s_grid) -> np.ndarray:
     s_grid = np.asarray(s_grid, dtype=float)
     if np.any(s_grid < 0) or np.any(s_grid > params.m):
         raise DomainError("maturity grid outside [0, m]")
-    t_full, p_full, z_full = _full_series(traj)
-    if not t_full[0] <= t <= t_full[-1]:
+    if not traj.hist_t[0] <= t <= traj.t[-1]:
         raise OutOfRegionError("query time outside the stored run")
-    cum = _cumulative_maturity(t_full, p_full, params)
-    target = float(np.interp(t, t_full, cum)) - s_grid
-    if np.any(target < cum[0] - 1e-12):
+    t_del, p_d, z_d, inside = _lagged(traj, t, s_grid)
+    if not inside.all():
         raise OutOfRegionError("threshold reaches past the stored history")
-    t_del = np.interp(target, cum, t_full)
-    p_d = np.interp(t_del, t_full, p_full)
-    z_d = np.interp(t_del, t_full, z_full)
     # math.exp per element: np.exp can differ from it in the last bit
     decay = np.array([math.exp(x) for x in (-params.delta0 * (t - t_del)).tolist()])
     return (

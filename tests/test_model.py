@@ -222,6 +222,57 @@ class TestRhsKernel:
             model.dde_rhs(good, good, 1.0, table1(m=5.0, n_total=1.0))
 
 
+def _pool_loop(t_hat, p, z, lag, params):
+    """The juvenile pool of every window of lag + 1 samples, one panel at a time."""
+    rs = params.r_star
+    out = []
+    for k in range(len(t_hat) - lag):
+        dt = t_hat[k + 1] - t_hat[k] if lag else 0.0
+        tau = acc = 0.0
+        for back in range(lag + 1):
+            i = k + lag - back
+            if back:
+                tau += 0.5 * dt * (rs / model.r_growth(p[i], params)
+                                   + rs / model.r_growth(p[i + 1], params))
+            weight = 0.5 if back in (0, lag) else 1.0
+            acc += (weight * math.exp(-params.delta0 * tau) * params.gamma * params.g * z[i]
+                    * model.h_grazing(p[i], params) / model.r_growth(p[i], params))
+        out.append(rs * dt * acc)
+    return np.array(out)
+
+
+class TestJuvenilePool:
+    def _run(self, m, panels):
+        p = equilibria.resolve_r_star(ModelParams(delta0=0.17, l=0.159, m=m, n_total=3.0))
+        dt = p.m / p.r_star / panels if m else 0.05
+        buf = simulate.build_initial(simulate.HistorySpec.at_equilibrium(0.05, -0.05), p, dt)
+        traj = simulate.integrate(buf, 3 * p.m / p.r_star if m else 2.0)
+        series = [np.concatenate([getattr(buf, k)[:-1], getattr(traj, k)]) for k in ("t_hat", "p", "z")]
+        return p, buf.n_delay_panels, series
+
+    def test_no_delay_gives_zeros(self):
+        p, lag, (t, pp, z) = self._run(0.0, 0)
+        assert lag == 0
+        assert model.juvenile_pool(t, pp, z, lag, p).tolist() == [0.0] * t.size
+
+    def test_single_window_matches_a_loop(self, table1):
+        p = equilibria.resolve_r_star(table1(delta0=0.17, m=6.0, n_total=3.0))
+        rng = np.random.default_rng(5)
+        t = np.linspace(-p.m / p.r_star, 0.0, 41)
+        pp, z = rng.uniform(0.05, 1.0, t.size), rng.uniform(0.0, 1.0, t.size)
+        pool = model.juvenile_pool(t, pp, z, 40, p)
+        assert pool.shape == (1,)
+        np.testing.assert_allclose(pool, _pool_loop(t, pp, z, 40, p), rtol=1e-13, atol=0)
+
+    def test_run_windows_match_a_loop(self, monkeypatch):
+        # a small block size makes the windows span several blocks
+        monkeypatch.setattr(model, "POOL_BLOCK_ENTRIES", 100)
+        p, lag, (t, pp, z) = self._run(6.0, 32)
+        pool = model.juvenile_pool(t, pp, z, lag, p)
+        assert pool.size == t.size - lag and np.ptp(pool) > 0
+        np.testing.assert_allclose(pool, _pool_loop(t, pp, z, lag, p), rtol=1e-13, atol=0)
+
+
 class TestConservationValue:
     def test_equilibrium_window_closes_by_construction(self, table1):
         # the initial-history builder uses the same quadrature, so the
@@ -229,8 +280,7 @@ class TestConservationValue:
         p = equilibria.resolve_r_star(table1(delta0=0.17, m=6.0, n_total=1.0))
         big_t = p.m / p.r_star
         buf = simulate.build_initial(simulate.HistorySpec.at_equilibrium(0, 0), p, big_t / 200)
-        t, n, pp, z = buf.window()
-        val = model.conservation_value(t, n, pp, z, p)
+        val = model.conservation_value(buf.t_hat, buf.n, buf.p, buf.z, p)
         assert val == pytest.approx(p.n_total, rel=1e-10)
 
     def test_empty_juvenile_pool_reduces_to_sum(self, table1):

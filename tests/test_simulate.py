@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from tde_plankton import equilibria, model, simulate
+from tde_plankton.config import build_config
 from tde_plankton.exceptions import (
     DomainError,
     InfeasibleBiomassError,
@@ -24,8 +25,13 @@ def fig6_params(nt=10 ** 0.49):
 
 def _lag_loop(traj, params, t_query, s):
     """Delayed time and the delayed P and Z for one node, one scalar at a time."""
-    t_full, p_full, z_full = simulate._full_series(traj)
-    cum = simulate._cumulative_maturity(t_full, p_full, params)
+    t_full, p_full, z_full = (np.concatenate([h[:-1], x]) for h, x in (
+        (traj.hist_t, traj.t), (traj.hist_p, traj.p), (traj.hist_z, traj.z)))
+    cum = [0.0]
+    for i in range(t_full.size - 1):
+        r0, r1 = model.r_growth(p_full[i], params), model.r_growth(p_full[i + 1], params)
+        cum.append(cum[-1] + 0.5 * (t_full[i + 1] - t_full[i]) * (r0 + r1))
+    cum = np.array(cum)
     target = float(np.interp(t_query, t_full, cum)) - s
     if target < cum[0] - 1e-12:
         return None
@@ -43,7 +49,7 @@ class TestBuildInitial:
         e2 = equilibria.solve_e2(p)
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, big_t / 200)
-        assert buf.n[buf.now_index] == pytest.approx(e2.n_star, rel=1e-12)
+        assert buf.n[-1] == pytest.approx(e2.n_star, rel=1e-12)
 
     def test_equilibrium_history_quadrature_limit_with_mortality(self):
         p = fig6_params()
@@ -52,19 +58,19 @@ class TestBuildInitial:
         buf = simulate.build_initial(
             HistorySpec.at_equilibrium(0, 0), p, big_t / 40000
         )
-        assert buf.n[buf.now_index] == pytest.approx(e2.n_star, rel=1e-9)
+        assert buf.n[-1] == pytest.approx(e2.n_star, rel=1e-9)
 
     def test_empty_juvenile_pool(self):
         p = fig6_params()
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.constant(0.5, 0.0), p, big_t / 100)
-        assert buf.n[buf.now_index] == pytest.approx(p.n_total - 0.5, rel=1e-14)
+        assert buf.n[-1] == pytest.approx(p.n_total - 0.5, rel=1e-14)
 
     def test_constant_history_lag_is_exact(self):
         p = fig6_params()
         big_t = p.m / p.r_star
         buf = simulate.build_initial(HistorySpec.constant(0.1, 0.01), p, big_t / 100)
-        assert buf.tau_m_running == pytest.approx(
+        assert buf.tau_m == pytest.approx(
             p.m / model.r_growth(0.1, p), rel=1e-14
         )
 
@@ -96,18 +102,6 @@ class TestBuildInitial:
         )
         with pytest.raises(DomainError):
             simulate.build_initial(HistorySpec.at_equilibrium(0, 0), p, 0.1)
-
-    def test_sampled_history_interpolates_and_balances(self):
-        p = fig6_params()
-        big_t = p.m / p.r_star
-        tg = np.linspace(-1.2 * big_t, 0.0, 57)
-        spec = HistorySpec.sampled(
-            tg, 0.2 + 0.02 * np.sin(tg), 0.3 + 0.01 * np.cos(tg)
-        )
-        buf = simulate.build_initial(spec, p, big_t / 128)
-        t, n, pp, z = buf.window()
-        res = model.conservation_value(t, n, pp, z, p) - p.n_total
-        assert abs(res) <= 1e-12 * p.n_total
 
 
 class TestIntegrate:
@@ -194,6 +188,18 @@ class TestIntegrate:
         assert abs(fin.p - e2.p_star) <= 1e-6
         assert np.max(np.abs(traj.cons_residual)) <= 1e-14
 
+    def test_history_is_left_untouched(self):
+        spec, p, dt_hat, _ = _fig6_run()
+        buf = simulate.build_initial(spec, p, dt_hat)
+        fields = ("t_hat", "n", "p", "z", "inv_r")
+        before = [getattr(buf, name).copy() for name in fields]
+        first, second = (simulate.integrate(buf, 20.0) for _ in range(2))
+        for name in ("t_hat", "t", "n", "p", "z", "tau_m", "cons_residual", "inv_r",
+                     "hist_t", "hist_p", "hist_z"):
+            assert np.array_equal(getattr(first, name), getattr(second, name)), name
+        for name, old in zip(fields, before):
+            assert np.array_equal(getattr(buf, name), old), name
+
     def test_tau_running_sum_matches_scratch(self):
         p = fig6_params()
         big_t = p.m / p.r_star
@@ -257,8 +263,29 @@ def _extinction_run():
     return spec, p, p.m / p.r_star / 2000, 120.0
 
 
+def _run_series(buf, traj):
+    """(t_hat, n, p, z) of the history window followed by the run rows."""
+    return tuple(
+        np.concatenate([getattr(buf, name)[:-1], getattr(traj, name)])
+        for name in ("t_hat", "n", "p", "z")
+    )
+
+
 class TestConservationColumn:
     """The post-loop residual pass against the one-window public functional."""
+
+    @pytest.mark.parametrize("preset, offset", [
+        ("fig6-stable", 0.0), ("fig7", 0.0), ("fig6-stable", 0.05),
+    ])
+    def test_residual_starts_at_the_offset(self, preset, offset):
+        # the nutrient level at time zero and the column come from one quadrature
+        cfg = build_config(preset_values(preset), None, {})
+        p = equilibria.resolve_r_star(cfg.params)
+        spec = HistorySpec.at_equilibrium(cfg.sim.eps_p, cfg.sim.eps_z,
+                                          n0_offset=offset * p.n_total)
+        buf = simulate.build_initial(spec, p, p.m / p.r_star / cfg.sim.dt_panels)
+        traj = simulate.integrate(buf, 0.0)
+        assert abs(traj.cons_residual[0] - spec.n0_offset) <= 2 * np.spacing(p.n_total)
 
     @pytest.mark.parametrize("make", [
         _fig6_run, _offset_run_without_mortality, _run_without_delay, _extinction_run,
@@ -266,14 +293,15 @@ class TestConservationColumn:
     def test_matches_per_row_conservation_value(self, make):
         spec, p, dt_hat, horizon = make()
         buf = simulate.build_initial(spec, p, dt_hat)
-        row0 = buf.now_index
         traj = simulate.integrate(buf, horizon)
         off_grid = traj.termination is Termination.EXTINCTION and not math.isclose(
             traj.t_hat[-1] - traj.t_hat[-2], dt_hat, rel_tol=1e-6
         )
         on_grid = len(traj) - 1 if off_grid else len(traj)
+        series = _run_series(buf, traj)
+        lag = buf.n_delay_panels
         slow = np.array([
-            model.conservation_value(*buf.window(row0 + k), p) - p.n_total
+            model.conservation_value(*(a[k: k + lag + 1] for a in series), p) - p.n_total
             for k in range(on_grid)
         ])
         assert np.max(np.abs(traj.cons_residual[:on_grid] - slow)) <= 1e-12 * p.n_total
@@ -298,13 +326,12 @@ class TestPhysicalTime:
     def test_runs_carry_their_clock(self, make):
         spec, p, dt_hat, horizon = make()
         buf = simulate.build_initial(spec, p, dt_hat)
-        row0 = buf.now_index
         traj = simulate.integrate(buf, horizon)
         assert np.isfinite(traj.t).all() and np.isfinite(traj.hist_t).all()
         assert traj.t.tolist() == _clock_loop(traj.t_hat.tolist(), traj.inv_r.tolist()).tolist()
-        hist = _clock_loop(buf.t_hat[:row0 + 1].tolist(), buf.inv_r[:row0 + 1].tolist())
+        hist = _clock_loop(buf.t_hat.tolist(), buf.inv_r.tolist())
         assert traj.hist_t.tolist() == (hist - hist[-1]).tolist()
-        assert traj.hist_t.size == row0 + 1 and traj.hist_t[-1] == 0.0
+        assert traj.hist_t.size == buf.t_hat.size and traj.hist_t[-1] == 0.0
 
     def test_identity_for_constant_response(self):
         p = equilibria.resolve_r_star(
