@@ -11,7 +11,8 @@ seeded on a pool of up to four threads, one maturity per job whose windows
 share their root scans; sweeps and traces run in order on the calling
 thread.  ``trace-boundary`` traces its starts in order of
 (m, n_total, omega) and skips a start that lies on a curve already traced,
-so a locus is traced once, from the first start on it.
+so a locus is traced once, both ways from the first start on it; each
+curve's metadata records why its forward and its backward half stopped.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, continuation, equilibria, simulate
 from .config import RunConfig, build_config, dump_flat, parse_flat_text
-from .continuation import BoundaryCurve, TraceOptions
+from .continuation import TraceOptions
 from .exceptions import (
     ConfigError,
     InfeasibleBiomassError,
@@ -117,10 +118,10 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
     else:
         windows = list(tr.omega_windows)
 
-    # the stepping options TraceSettings shares with TraceOptions, by name
-    stepping = {f.name: getattr(tr, f.name) for f in fields(TraceOptions) if hasattr(tr, f.name)}
-    forward = TraceOptions(**stepping | {"m_max": m_max})
-    backward = replace(forward, orientation=-1)
+    opts = TraceOptions(
+        nt_min=tr.nt_min, nt_max=tr.nt_max, m_max=m_max,
+        corrector_tol=tr.corrector_tol, max_steps=tr.max_steps,
+    )
     failures: list[dict] = []
 
     def seed_one(m, window, lins):
@@ -129,7 +130,7 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
             lo = max(tr.nt_min, nt2 * 1.001)
             return continuation.find_start(
                 params, m, (lo, tr.nt_max), omega_window=window, grid_n=tr.grid_n,
-                opts=forward, lins=lins,
+                opts=opts, lins=lins,
             )
         except TdePlanktonError as err:
             failures.append(
@@ -144,21 +145,12 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         starts = [s for group in pool.map(seed_m, m_seeds) for s in group if s is not None]
 
-    def trace_one(start):
-        fwd = continuation.trace_curve(start, params, forward)
-        bwd = continuation.trace_curve(start, params, backward)
-        pts = list(reversed(bwd.points))[:-1] + fwd.points
-        return BoundaryCurve(points=pts, termination=fwd.termination), bwd.termination
-
-    traced = []
+    curves = []
     # a start on a traced curve (an equal start too) would re-trace its locus
     for start in sorted(starts, key=lambda b: (b.m, b.n_total, b.omega)):
-        if not any(continuation.lies_on_curve(start, c, params, tr.dedupe_tol) for c, _ in traced):
-            traced.append(trace_one(start))
-
-    merged = [c for c, _ in traced]
-    back_terms = {id(c): b for (c, b) in traced}
-    kept = continuation.deduplicate_curves(merged, params, tol=tr.dedupe_tol)
+        if not any(continuation.lies_on_curve(start, c, params) for c in curves):
+            curves.append(continuation.trace_curve(start, params, opts))
+    kept = continuation.deduplicate_curves(curves, params)
 
     curve_rows, freq_rows, curve_meta = [], [], []
     for cid, curve in enumerate(kept):
@@ -172,7 +164,7 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
             "curve_id": cid,
             "points": len(curve.points),
             "termination_forward": curve.termination.value,
-            "termination_backward": back_terms[id(curve)].value,
+            "termination_backward": curve.termination_backward.value,
         })
 
     _write_csv(

@@ -10,6 +10,7 @@ artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,11 +18,25 @@ from .exceptions import ConfigError, ParamError
 from .model import ModelParams
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
+def _not_nan(s: str) -> float:
+    x = float(s)
+    if math.isnan(x):
+        raise ValueError("must be a number")
+    return x
+
+
 def _parse_float_list(s: str) -> tuple[float, ...]:
     s = s.strip()
     if not s:
         return ()
-    return tuple(float(tok) for tok in s.split(","))
+    return tuple(_finite(tok) for tok in s.split(","))
 
 
 def _parse_windows(s: str) -> str | tuple[tuple[float, float], ...]:
@@ -31,11 +46,11 @@ def _parse_windows(s: str) -> str | tuple[tuple[float, float], ...]:
     out = []
     for tok in s.split(","):
         lo, hi = tok.split(":")
-        out.append((float(lo), float(hi)))
+        out.append((_finite(lo), _finite(hi)))
     return tuple(out)
 
 
-def _or_none(sentinel: str, parse: Callable = float) -> Callable:
+def _or_none(sentinel: str, parse: Callable = _finite) -> Callable:
     """Parse with ``parse``, reading ``sentinel`` as None."""
     return lambda s: None if s == sentinel else parse(s)
 
@@ -51,47 +66,42 @@ def _choice(*names: str) -> Callable[[str], str]:
 #: key -> (parser, default as a string); a key's section and name pick the
 #: settings object and field it fills (see build_config)
 SCHEMA: dict[str, tuple[Callable, str]] = {
-    "model.mu": (float, "5.9"),
-    "model.lambda": (float, "0.017"),
-    "model.g": (float, "7.0"),
-    "model.gamma": (float, "0.7"),
-    "model.delta": (float, "0.17"),
-    "model.delta0": (float, "0.0"),
-    "model.k": (float, "1.0"),
-    "model.kk": (float, "1.0"),
+    "model.mu": (_finite, "5.9"),
+    "model.lambda": (_finite, "0.017"),
+    "model.g": (_finite, "7.0"),
+    "model.gamma": (_finite, "0.7"),
+    "model.delta": (_finite, "0.17"),
+    "model.delta0": (_finite, "0.0"),
+    "model.k": (_finite, "1.0"),
+    "model.kk": (_finite, "1.0"),
     "model.response": (_choice("michaelis", "constant"), "michaelis"),
-    "model.l": (float, "0.159"),
-    "model.m": (float, "0.0"),
-    "model.n_total": (float, "1.0"),
+    "model.l": (_finite, "0.159"),
+    "model.m": (_finite, "0.0"),
+    "model.n_total": (_finite, "1.0"),
     "model.r_star": (_or_none("auto"), "auto"),
     "run.dt_panels": (int, "200"),
     "run.dt_hat": (_or_none("auto"), "auto"),
-    "run.horizon_hat": (float, "400.0"),
+    "run.horizon_hat": (_finite, "400.0"),
     "run.history": (_choice("equilibrium", "constant"), "equilibrium"),
-    "run.eps_p": (float, "1e-3"),
-    "run.eps_z": (float, "1e-3"),
+    "run.eps_p": (_finite, "1e-3"),
+    "run.eps_z": (_finite, "1e-3"),
     "run.p0": (_or_none("none"), "none"),
     "run.z0": (_or_none("none"), "none"),
-    "run.n0_offset": (float, "0.0"),
+    "run.n0_offset": (_finite, "0.0"),
     "run.rho_times": (_parse_float_list, ""),
     "run.rho_s_panels": (int, "400"),
-    "equilibria.nt_min": (float, "1e-4"),
-    "equilibria.nt_max": (float, "1e2"),
+    "equilibria.nt_min": (_finite, "1e-4"),
+    "equilibria.nt_max": (_finite, "1e2"),
     "equilibria.nt_points": (int, "400"),
     "equilibria.m_list": (_or_none("model", _parse_float_list), "model"),
     "continuation.m_seeds": (_or_none("model", _parse_float_list), "model"),
-    "continuation.nt_min": (float, "1e-4"),
-    "continuation.nt_max": (float, "1e2"),
-    "continuation.m_min": (float, "0.0"),
-    "continuation.m_max": (float, "inf"),
+    "continuation.nt_min": (_finite, "1e-4"),
+    "continuation.nt_max": (_finite, "1e2"),
+    "continuation.m_max": (_not_nan, "inf"),
     "continuation.omega_windows": (_parse_windows, "none"),
-    "continuation.h_init": (float, "1e-2"),
-    "continuation.h_min": (float, "1e-6"),
-    "continuation.h_max": (float, "1e-1"),
-    "continuation.corrector_tol": (float, "1e-9"),
+    "continuation.corrector_tol": (_finite, "1e-9"),
     "continuation.max_steps": (int, "2000"),
     "continuation.grid_n": (int, "256"),
-    "continuation.dedupe_tol": (float, "5e-3"),
 }
 
 
@@ -142,16 +152,11 @@ class TraceSettings:
     m_seeds: tuple[float, ...]
     nt_min: float
     nt_max: float
-    m_min: float
     m_max: float
     omega_windows: str | tuple[tuple[float, float], ...]
-    h_init: float
-    h_min: float
-    h_max: float
     corrector_tol: float
     max_steps: int
     grid_n: int
-    dedupe_tol: float
 
 
 @dataclass(frozen=True)
@@ -198,16 +203,30 @@ def build_config(
     if trace["m_seeds"] is None:
         trace["m_seeds"] = (params.m,)
 
-    if run["dt_hat"] is not None and not run["dt_hat"] > 0:
-        raise ConfigError(f"run.dt_hat must be positive or auto, got {values['run.dt_hat']!r}")
-    if run["dt_panels"] < 2:
-        raise ConfigError("run.dt_panels must be at least 2")
     if not 0 < sweep["nt_min"] < sweep["nt_max"]:
         raise ConfigError("equilibria biomass range must satisfy 0 < nt_min < nt_max")
     if not 0 < trace["nt_min"] < trace["nt_max"]:
         raise ConfigError("continuation biomass range must satisfy 0 < nt_min < nt_max")
-    if trace["grid_n"] < 64:
-        raise ConfigError(f"continuation.grid_n must be at least 64, got {trace['grid_n']}")
+    windows = trace["omega_windows"]
+    ranges = (
+        ("run.dt_hat", run["dt_hat"] is None or run["dt_hat"] > 0, "positive or auto"),
+        ("run.dt_panels", run["dt_panels"] >= 2, "at least 2"),
+        ("run.horizon_hat", run["horizon_hat"] > 0, "positive"),
+        ("run.rho_times", all(t >= 0 for t in run["rho_times"]), "nonnegative"),
+        ("run.rho_s_panels", run["rho_s_panels"] >= 1, "at least 1"),
+        ("equilibria.nt_points", sweep["nt_points"] >= 0, "nonnegative"),
+        ("equilibria.m_list", all(m >= 0 for m in sweep["m_list"]), "nonnegative"),
+        ("continuation.m_seeds", all(m >= 0 for m in trace["m_seeds"]), "nonnegative"),
+        ("continuation.omega_windows",
+         isinstance(windows, str) or all(0 <= lo < hi for lo, hi in windows),
+         "none, auto or lo:hi pairs with 0 <= lo < hi"),
+        ("continuation.max_steps", trace["max_steps"] >= 1, "at least 1"),
+        ("continuation.corrector_tol", trace["corrector_tol"] > 0, "positive"),
+        ("continuation.grid_n", trace["grid_n"] >= 64, "at least 64"),
+    )
+    for key, ok, need in ranges:
+        if not ok:
+            raise ConfigError(f"{key} must be {need}, got {values[key]!r}")
 
     return RunConfig(
         params=params,

@@ -53,6 +53,15 @@ CLOSED_LOOP_MIN_STEPS = 10
 #: curves one locus.
 INTERLEAVE_FRACTION = 0.9
 
+#: Distance in the compared (m, log10 n_total, omega) coordinates within
+#: which a point lies on a curve's polyline.
+DEDUPE_TOL = 5e-3
+
+#: First, smallest and largest arclength step, in scaled coordinates.
+H_INIT = 1e-2
+H_MIN = 1e-6
+H_MAX = 1e-1
+
 
 class CurveEnd(Enum):
     DOMAIN_BOUND = "domain_bound"
@@ -81,8 +90,13 @@ class BoundaryPoint:
 
 @dataclass(frozen=True)
 class BoundaryCurve:
+    """A locus traced both ways from its start: ``points`` run from the
+    backward end through the start to the forward end, and each end keeps
+    the reason its half stopped."""
+
     points: list[BoundaryPoint]
     termination: CurveEnd
+    termination_backward: CurveEnd
 
     def __len__(self) -> int:
         return len(self.points)
@@ -90,17 +104,12 @@ class BoundaryCurve:
 
 @dataclass(frozen=True)
 class TraceOptions:
-    h_init: float = 1e-2
-    h_min: float = 1e-6
-    h_max: float = 1e-1
     corrector_tol: float = 1e-9
     max_newton: int = 25
     max_steps: int = 2000
     nt_min: float = 1e-4
     nt_max: float = 1e2
-    m_min: float = 0.0
     m_max: float = math.inf
-    orientation: int = 1
 
 
 def hopf_residual(
@@ -250,7 +259,7 @@ def _in_domain(pt: BoundaryPoint, ceiling: float, opts: TraceOptions) -> bool:
     and n - nt1 has the sign of z, so z_star > 0 already means n_total > nt2.
     """
     return (
-        max(0.0, opts.m_min) <= pt.m < min(ceiling, opts.m_max)
+        0.0 <= pt.m < min(ceiling, opts.m_max)
         and opts.nt_min <= pt.n_total <= opts.nt_max
         and pt.z_star > 0
     )
@@ -336,10 +345,12 @@ def trace_curve(
     params: ModelParams,
     opts: TraceOptions | None = None,
 ) -> BoundaryCurve:
-    """Follow the locus through ``start`` until it leaves the domain or closes.
+    """Follow the locus through ``start`` both ways until each half leaves
+    the domain, closes, collapses, fails or takes ``opts.max_steps`` steps.
 
-    Each accepted point is re-checked against the scaled residual tolerance;
-    the step length adapts within [h_min, h_max].
+    The forward half leaves the start towards increasing m (tie-broken by
+    biomass, then frequency).  Each accepted point is re-checked against the
+    scaled residual tolerance; the step length adapts within [H_MIN, H_MAX].
     """
     opts = opts or TraceOptions()
     ceiling = equilibria.m_ceiling(params)
@@ -350,33 +361,43 @@ def trace_curve(
     if not res0 <= 10 * opts.corrector_tol:  # a NaN fails too
         raise DomainError(f"start point residual {res0:g} is too large to trace from")
 
-    points = [_point_from_scaled(x, m_scale)]
-    x_start = x.copy()
     tangent = _tangent(_fd_jacobian(x, params, m_scale, res, lin))
-    # deterministic initial orientation: increasing m, tie-broken by biomass
+    # deterministic orientation: increasing m, tie-broken by biomass
     ref = tangent[3] if abs(tangent[3]) > 1e-8 else (
         tangent[4] if abs(tangent[4]) > 1e-8 else tangent[5]
     )
-    if (ref < 0) != (opts.orientation < 0):
+    if ref < 0:
         tangent = -tangent
-    tangent_start = tangent.copy()
+    back, end_back = _trace_half(x, -tangent, params, m_scale, ceiling, opts)
+    ahead, end_ahead = _trace_half(x, tangent, params, m_scale, ceiling, opts)
+    points = back[::-1] + [_point_from_scaled(x, m_scale)] + ahead
+    return BoundaryCurve(points, end_ahead, end_back)
 
-    h = opts.h_init
+
+def _trace_half(
+    x_start: np.ndarray, tangent_start: np.ndarray, params: ModelParams,
+    m_scale: float, ceiling: float, opts: TraceOptions,
+) -> tuple[list[BoundaryPoint], CurveEnd]:
+    """Step from the scaled start along ``tangent_start``: the points after
+    the start, in order, and why the half stopped."""
+    points: list[BoundaryPoint] = []
+    x, tangent = x_start, tangent_start
+    h = H_INIT
     steps = 0
     while steps < opts.max_steps:
         predictor = x + h * tangent
         got = _newton_corrector(predictor, predictor, tangent, params, m_scale, opts)
         if got is None:
             h *= 0.5
-            if h < opts.h_min:
-                return BoundaryCurve(points, CurveEnd.STEP_FAILURE)
+            if h < H_MIN:
+                return points, CurveEnd.STEP_FAILURE
             continue
         x_new, iters, (res, lin) = got
         pt = _point_from_scaled(x_new, m_scale)
         if pt.omega < OMEGA_FLOOR:
-            return BoundaryCurve(points, CurveEnd.OMEGA_COLLAPSE)
+            return points, CurveEnd.OMEGA_COLLAPSE
         if not _in_domain(pt, ceiling, opts):
-            return BoundaryCurve(points, CurveEnd.DOMAIN_BOUND)
+            return points, CurveEnd.DOMAIN_BOUND
 
         if steps + 1 >= CLOSED_LOOP_MIN_STEPS:
             if np.linalg.norm(x_new - x_start) < max(h, 10 * opts.corrector_tol):
@@ -385,7 +406,7 @@ def trace_curve(
                 )
                 if proj is not None and np.linalg.norm(proj - x_start) <= 10 * opts.corrector_tol:
                     points.append(_point_from_scaled(proj, m_scale))
-                    return BoundaryCurve(points, CurveEnd.CLOSED_LOOP)
+                    return points, CurveEnd.CLOSED_LOOP
 
         points.append(pt)
         steps += 1
@@ -394,12 +415,13 @@ def trace_curve(
             new_tangent = -new_tangent
         x, tangent = x_new, new_tangent
         if iters <= 3:
-            h = min(h * 1.3, opts.h_max)
-    return BoundaryCurve(points, CurveEnd.MAX_STEPS)
+            h = min(h * 1.3, H_MAX)
+    return points, CurveEnd.MAX_STEPS
 
 
-def _share_near_polyline(q: np.ndarray, line: np.ndarray, tol: float) -> float:
-    """Fraction of the points ``q`` within ``tol`` of the polyline through ``line``."""
+def _share_near_polyline(q: np.ndarray, line: np.ndarray, tol) -> float:
+    """Fraction of the points ``q`` within ``tol`` of the polyline through
+    ``line``; ``tol`` is one distance or one per segment."""
     if len(line) < 2:
         line = np.vstack([line, line])
     a, ab = line[:-1], np.diff(line, axis=0)
@@ -411,8 +433,23 @@ def _share_near_polyline(q: np.ndarray, line: np.ndarray, tol: float) -> float:
         rel = q[i:i + block, None, :] - a  # (points, segments, 3)
         t = np.clip(np.einsum("pkj,kj->pk", rel, ab) / denom, 0.0, 1.0)
         dist = np.linalg.norm(rel - t[..., None] * ab, axis=2)
-        near[i:i + block] = dist.min(axis=1) <= tol
+        near[i:i + block] = np.any(dist <= tol, axis=1)
     return float(np.mean(near))
+
+
+def _chord_sagitta(line: np.ndarray) -> np.ndarray | float:
+    """Per segment of the polyline through ``line``, how far the sampled
+    curve may bow away from it: a chord of length L that turns by theta at
+    its ends spans an arc of angle about theta, whose sagitta is L*theta/8.
+    A line of fewer than three points does not turn: 0."""
+    if len(line) < 3:
+        return 0.0
+    ab = np.diff(line, axis=0)
+    length = np.linalg.norm(ab, axis=1)
+    unit = ab / np.where(length == 0, 1.0, length)[:, None]
+    turn = np.arccos(np.clip(np.einsum("ij,ij->i", unit[:-1], unit[1:]), -1.0, 1.0))
+    at_ends = np.maximum(np.append(turn, 0.0), np.insert(turn, 0, 0.0))
+    return length * at_ends / 8
 
 
 def _profile_coords(points: list[BoundaryPoint], m_scale: float) -> np.ndarray:
@@ -420,7 +457,7 @@ def _profile_coords(points: list[BoundaryPoint], m_scale: float) -> np.ndarray:
 
 
 def lies_on_curve(
-    pt: BoundaryPoint, curve: BoundaryCurve, params: ModelParams, tol: float = 5e-3
+    pt: BoundaryPoint, curve: BoundaryCurve, params: ModelParams, tol: float = DEDUPE_TOL
 ) -> bool:
     """True when ``pt`` lies within ``tol`` of the polyline through ``curve``,
     in the coordinates :func:`curves_interleave` compares."""
@@ -433,26 +470,27 @@ def curves_interleave(
     a: BoundaryCurve,
     b: BoundaryCurve,
     params: ModelParams,
-    tol: float = 5e-3,
+    tol: float = DEDUPE_TOL,
 ) -> bool:
     """True when most points of either curve hug the other's polyline.
 
-    Both directions are tried: where one sampling takes long chords around a
-    bend, the other's points on the bend miss those chords, while its own
-    polyline still carries every point of the first.
+    Where one sampling takes long chords around a bend, the other's points
+    on the bend lie off those chords by up to their sagitta, so each chord
+    gets ``tol`` plus its sagitta.  Both directions are tried: a short
+    re-trace hugs a long curve's polyline, not the other way round.
     """
     m_scale = _m_scale(params)
     pa, pb = _profile_coords(a.points, m_scale), _profile_coords(b.points, m_scale)
     return (
-        _share_near_polyline(pa, pb, tol) >= INTERLEAVE_FRACTION
-        or _share_near_polyline(pb, pa, tol) >= INTERLEAVE_FRACTION
+        _share_near_polyline(pa, pb, tol + _chord_sagitta(pb)) >= INTERLEAVE_FRACTION
+        or _share_near_polyline(pb, pa, tol + _chord_sagitta(pa)) >= INTERLEAVE_FRACTION
     )
 
 
 def deduplicate_curves(
     curves: list[BoundaryCurve],
     params: ModelParams,
-    tol: float = 5e-3,
+    tol: float = DEDUPE_TOL,
 ) -> list[BoundaryCurve]:
     """Drop curves that re-trace an already collected locus.
 

@@ -45,9 +45,5 @@ class OutOfRegionError(TdePlanktonError, ValueError):
     """The requested (time, maturity) point is not covered by the stored history."""
 
 
-class BracketError(TdePlanktonError, RuntimeError):
-    """A threshold bracket could not be established."""
-
-
 class ConfigError(TdePlanktonError, ValueError):
     """A run configuration is malformed or violates parameter constraints."""

@@ -36,15 +36,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from . import model
 from .equilibria import EquilibriumKind, EquilibriumPoint
-from .exceptions import BracketError, DomainError, SingularRateError
+from .exceptions import DomainError, SingularRateError
 from .model import ModelParams
 
 #: |s|*T below which the kernel (1-exp(-s*T))/s switches to its power series.
@@ -450,51 +447,3 @@ def rightmost_in_window(
     root = _rightmost_root(lin, omega_window, grid_n)
     return None if root is None else root.real
 
-
-def tau_frechet_check(
-    p_star: float,
-    perturbation: Callable[[float], float],
-    eps: float,
-    params: ModelParams,
-) -> float:
-    """Remainder ratio of the linearized threshold-delay functional.
-
-    For a constant base history at ``p_star`` perturbed by eps*perturbation,
-    compares the true maturation delay (threshold integral solved
-    numerically) against its linear prediction, and returns
-
-        |tau(P*+eps*h) - tau(P*) + (R'(P*)/R(P*)) * int eps*h| / sup|eps*h|.
-
-    The caller asserts that the ratio decays as eps does.
-    """
-    if params.m <= 0:
-        raise DomainError("the check needs a positive maturity requirement")
-    r_base = float(model.r_growth(p_star, params))
-    if r_base < params.r_floor:
-        raise SingularRateError("base growth rate below floor")
-    tau_base = params.m / r_base
-
-    def p_of(u: float) -> float:
-        return p_star + eps * perturbation(u)
-
-    r_hi = 4.0 * tau_base
-
-    def accumulated(tau: float) -> float:
-        val, _ = quad(lambda u: model.r_growth(p_of(u), params), -tau, 0.0, limit=200)
-        return val
-
-    lo_grid = np.linspace(-r_hi, 0.0, 4097)
-    p_vals = np.array([p_of(u) for u in lo_grid])
-    if np.any(p_vals <= 0):
-        raise BracketError("perturbation drives the phytoplankton history nonpositive")
-    if accumulated(r_hi) < params.m:
-        raise BracketError("threshold not reached within the bracket; eps too large")
-    tau_pert = brentq(lambda t: accumulated(t) - params.m, 0.0, r_hi, xtol=1e-14)
-
-    sup_norm = float(eps) * float(np.max(np.abs([perturbation(u) for u in lo_grid])))
-    if sup_norm == 0.0:
-        return 0.0
-    integral, _ = quad(lambda u: eps * perturbation(u), -tau_base, 0.0, limit=200)
-    rp = float(model.r_growth_prime(p_star, params))
-    remainder = abs(tau_pert - tau_base + (rp / r_base) * integral)
-    return remainder / sup_norm

@@ -15,7 +15,7 @@ sup R = 1 for both response variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -86,14 +86,20 @@ class ModelParams:
     r_floor: float = R_FLOOR_DEFAULT
 
     def __post_init__(self) -> None:
+        # getattr, not vars(self): building __dict__ would slow every
+        # attribute read in the integrator loop
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and not math.isfinite(value):
+                raise ParamError(f"{field.name} must be finite, got {value!r}")
         for name in ("mu", "lam", "g", "delta", "k", "kk", "n_total"):
             if not getattr(self, name) > 0:
                 raise ParamError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not 0 < self.gamma <= 1:
             raise ParamError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if self.delta0 < 0:
+        if not self.delta0 >= 0:
             raise ParamError(f"delta0 must be nonnegative, got {self.delta0!r}")
-        if self.m < 0:
+        if not self.m >= 0:
             raise ParamError(f"m must be nonnegative, got {self.m!r}")
         if not self.mu > self.lam:
             raise ParamError("mu must exceed lam (uptake must be able to beat mortality)")

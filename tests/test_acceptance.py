@@ -130,14 +130,9 @@ def test_criterion_04_e1_spectrum():
 def test_criterion_05_stability_flip_at_quoted_point():
     params = params_for(DELTA, 0.159, 6.0, 1.0)
     start = continuation.find_start(params, 6.0, (10 ** 0.4, 10 ** 0.6))
-    fwd = continuation.trace_curve(
+    pts = continuation.trace_curve(
         start, params, TraceOptions(nt_min=2.0, nt_max=6.0, max_steps=6)
-    )
-    bwd = continuation.trace_curve(
-        start, params,
-        TraceOptions(nt_min=2.0, nt_max=6.0, max_steps=6, orientation=-1),
-    )
-    pts = list(reversed(bwd.points)) + fwd.points[1:]
+    ).points
     ms = np.array([q.m for q in pts])
     hit = np.where(np.isclose(ms, 6.0, atol=1e-12))[0]
     crossing_lg = math.log10(pts[hit[0]].n_total)

@@ -95,11 +95,34 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("item", [
         "model.r_star=abc", "run.dt_hat=0", "run.dt_hat=-0.5", "continuation.grid_n=8",
+        "model.m=nan",
+        "equilibria --set model.m=nan",
+        "equilibria --set model.delta0=nan",
+        "equilibria --set model.mu=inf",
+        "equilibria --set equilibria.nt_points=-1",
+        "equilibria --set equilibria.m_list=2,nan",
+        "equilibria --set equilibria.m_list=-1",
+        "simulate --preset fig6-stable --set run.eps_p=nan",
+        "simulate --set run.horizon_hat=nan",
+        "simulate --set run.horizon_hat=-5",
+        "simulate --set run.rho_times=-1",
+        "simulate --set run.rho_s_panels=0",
+        "trace-boundary --set continuation.m_seeds=nan",
+        "trace-boundary --set continuation.m_seeds=-1",
+        "trace-boundary --set continuation.omega_windows=1:0.5",
+        "trace-boundary --set continuation.omega_windows=-1:0.5",
+        "trace-boundary --set continuation.omega_windows=0.1:inf",
+        "trace-boundary --set continuation.m_max=nan",
+        "trace-boundary --set continuation.max_steps=0",
+        "trace-boundary --set continuation.corrector_tol=0",
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, item):
-        assert run_cli(["check", "--out", str(tmp_path), "--set", item]) == 2
+        # KEY=VALUE runs check; COMMAND [ARGS] --set KEY=VALUE runs COMMAND
+        command, _, item = item.rpartition(" --set ")
+        argv = (command or "check").split() + ["--out", str(tmp_path), "--set", item]
+        assert run_cli(argv) == 2
         assert item.split("=")[0] in capsys.readouterr().err
-        assert not tmp_path.joinpath("report.jsonl").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_infeasible_history_exits_2(self, tmp_path):
         code = run_cli([
@@ -308,6 +331,19 @@ class TestTraceCommand:
         assert freq["omega"].size == data["omega"].size
         md = json.loads((tmp_path / "metadata.json").read_text())
         assert md["curves"][0]["points"] == data["omega"].size
+
+    def test_metadata_records_how_each_half_ended(self, tmp_path):
+        # m_max stops the forward half, which raises m, after two steps; the
+        # backward half takes its five
+        assert run_cli([
+            "trace-boundary", "--preset", "fig4-l0.159-dd", "--out", str(tmp_path),
+            "--set", "continuation.m_seeds=6.0", "--set", "continuation.m_max=6.2",
+            "--set", "continuation.max_steps=5",
+        ]) == 0
+        (curve,) = json.loads((tmp_path / "metadata.json").read_text())["curves"]
+        assert curve["termination_forward"] == "domain_bound"
+        assert curve["termination_backward"] == "max_steps"
+        assert curve["points"] == 8
 
     def test_deterministic_and_reproducible(self, tmp_path):
         # ten windows at one maturity share their scans; nothing may leak

@@ -408,7 +408,7 @@ class TestFindStart:
         tight = TraceOptions(corrector_tol=1e-12, max_steps=2)
         found = continuation.find_start(params, 6.0, (10 ** 0.4, 10 ** 0.6), opts=tight)
         assert continuation.point_residual(found, params) <= 10 * tight.corrector_tol
-        assert len(continuation.trace_curve(found, params, tight)) == 3
+        assert len(continuation.trace_curve(found, params, tight)) == 5
         assert found.n_total == pytest.approx(start.n_total, rel=1e-6)
 
     def test_corrector_failure_raises_no_converge(self, monkeypatch):
@@ -451,41 +451,29 @@ class TestTraceCurve:
         assert np.all(dots > 0)
 
     def test_orientation_reverses(self, loop_family):
+        # the backward half lowers m, the forward half raises it, so m rises
+        # along the whole curve through the start
         params, start = loop_family
-        fwd = continuation.trace_curve(
-            start, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=8)
+        curve = continuation.trace_curve(
+            start, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=3)
         )
-        bwd = continuation.trace_curve(
-            start, params,
-            TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=8, orientation=-1),
-        )
-        assert fwd.points[1].m > start.m
-        assert bwd.points[1].m < start.m
+        assert curve.points[3] == start
+        ms = [p.m for p in curve.points]
+        assert all(a < b for a, b in zip(ms[:-1], ms[1:]))
 
     def test_reversibility_returns_to_start(self, loop_family):
-        # retrace backwards past the start, then project the nearest point
-        # onto the hyperplane through the start: the corrector must land on
-        # the start itself if the reverse branch follows the same locus
+        # retrace from the forward end past the start, then project the
+        # nearest point onto the hyperplane through the start: the corrector
+        # must land on the start itself if the retrace follows the same locus
         params, start = loop_family
         opts = TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=12)
-        fwd = continuation.trace_curve(start, params, opts)
-        end = fwd.points[-1]
+        end = continuation.trace_curve(start, params, opts).points[-1]
         m_scale = continuation._m_scale(params)
-
-        def scaled(pt):
-            return continuation._pack(pt.as_array(), m_scale)
-
-        incoming = scaled(fwd.points[-2]) - scaled(end)
-        # of the two branches from the end, keep the one heading back
-        branches = [
-            continuation.trace_curve(
-                end, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=40, orientation=o)
-            )
-            for o in (1, -1)
-        ]
-        back, = [b for b in branches if float((scaled(b.points[1]) - scaled(end)) @ incoming) > 0]
+        retrace = continuation.trace_curve(
+            end, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=40)
+        )
         x_start = continuation._pack(start.as_array(), m_scale)
-        xs = np.array([continuation._pack(p.as_array(), m_scale) for p in back.points])
+        xs = np.array([continuation._pack(p.as_array(), m_scale) for p in retrace.points])
         # seed from the foot of the nearest polyline segment
         best, best_d = None, np.inf
         for a, b in zip(xs[:-1], xs[1:]):
@@ -495,7 +483,7 @@ class TestTraceCurve:
             d = float(np.linalg.norm(foot - x_start))
             if d < best_d:
                 best, best_d = foot, d
-        assert best_d <= opts.h_max  # the reverse branch passes by the start
+        assert best_d <= continuation.H_MAX  # the retrace passes by the start
         base, lin = continuation._residual(x_start.tolist(), params, m_scale)
         tangent = continuation._tangent(
             continuation._fd_jacobian(x_start, params, m_scale, base, lin))
@@ -509,11 +497,9 @@ class TestTraceCurve:
         # the curve revisits the seed maturity at a different biomass and
         # frequency: the signature of its loop structure
         params, start = loop_family
-        opts = TraceOptions(nt_min=10 ** 0.25, nt_max=90.0, max_steps=250)
-        bwd = continuation.trace_curve(start, params, TraceOptions(
-            nt_min=10 ** 0.25, nt_max=90.0, max_steps=250, orientation=-1))
-        pts = list(reversed(bwd.points)) + continuation.trace_curve(
-            start, params, opts).points[1:]
+        pts = continuation.trace_curve(
+            start, params, TraceOptions(nt_min=10 ** 0.25, nt_max=90.0, max_steps=250)
+        ).points
         ms = np.array([p.m for p in pts])
         crossings = np.where((ms[:-1] - 6.0) * (ms[1:] - 6.0) < 0)[0]
         assert crossings.size >= 2
@@ -536,18 +522,20 @@ class TestTraceCurve:
             start, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=3)
         )
         assert curve.termination is CurveEnd.MAX_STEPS
-        assert len(curve) == 4  # the start and three steps
+        assert curve.termination_backward is CurveEnd.MAX_STEPS
+        assert len(curve) == 7  # three steps back, the start, three steps ahead
 
-    def test_step_failure_termination(self, loop_family):
+    def test_step_failure_termination(self, loop_family, monkeypatch):
         # one Newton iteration cannot correct a predictor off the locus, and
-        # a single halving already falls below h_min
+        # a single halving already falls below H_MIN, either way
         params, start = loop_family
+        monkeypatch.setattr(continuation, "H_MIN", 0.6 * continuation.H_INIT)
         curve = continuation.trace_curve(
-            start, params,
-            TraceOptions(nt_min=1.0, nt_max=30.0, max_newton=1, h_init=1e-2, h_min=0.6e-2),
+            start, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_newton=1)
         )
         assert curve.termination is CurveEnd.STEP_FAILURE
-        assert len(curve) == 1
+        assert curve.termination_backward is CurveEnd.STEP_FAILURE
+        assert curve.points == [start]
 
     def test_bad_start_rejected(self, loop_family):
         params, start = loop_family
@@ -600,7 +588,7 @@ class TestDomainTest:
         assert cli.main([
             "trace-boundary", "--preset", "fig4-l0.159-dd", "--out", str(tmp_path),
         ]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         params = _preset_params("fig4-l0.159-dd")
         data = np.genfromtxt(tmp_path / "curves.csv", delimiter=",", names=True)
         assert data.size > 100 and set(data["curve_id"].tolist()) == {0.0}
@@ -667,10 +655,11 @@ class TestDeduplication:
         c1 = continuation.trace_curve(
             start, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=30)
         )
-        mid = c1.points[len(c1.points) // 2]
-        # shorter re-trace stays inside the span already covered by c1
+        assert len(c1.points) == 61  # the start is point 30
+        # a shorter re-trace from 15 steps past the start stays inside the
+        # span already covered by c1, and turns with it around a bend
         c2 = continuation.trace_curve(
-            mid, params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=8)
+            c1.points[45], params, TraceOptions(nt_min=1.0, nt_max=30.0, max_steps=8)
         )
         kept = continuation.deduplicate_curves([c1, c2], params)
         assert len(kept) == 1
@@ -695,6 +684,7 @@ class TestDeduplication:
                 for x, y in xy
             ],
             termination=CurveEnd.DOMAIN_BOUND,
+            termination_backward=CurveEnd.DOMAIN_BOUND,
         )
 
     def test_one_bent_arc_sampled_twice_matches_in_both_orders(self):
@@ -722,9 +712,10 @@ class TestDeduplication:
         arc = self._bent_arc(params, straight_n=50, bend_n=62).points
         # the two legs do not interleave; the whole arc, considered after
         # both (it starts where the upper leg does), carries both
-        lower = BoundaryCurve(arc[:45], CurveEnd.DOMAIN_BOUND)
-        upper = BoundaryCurve(arc[:-46:-1], CurveEnd.DOMAIN_BOUND)
-        whole = BoundaryCurve(arc[::-1], CurveEnd.DOMAIN_BOUND)
+        ends = (CurveEnd.DOMAIN_BOUND, CurveEnd.DOMAIN_BOUND)
+        lower = BoundaryCurve(arc[:45], *ends)
+        upper = BoundaryCurve(arc[:-46:-1], *ends)
+        whole = BoundaryCurve(arc[::-1], *ends)
         assert not continuation.curves_interleave(lower, upper, params)
         kept = continuation.deduplicate_curves([lower, upper, whole], params)
         assert kept == [whole]
@@ -751,6 +742,21 @@ class TestDeduplication:
             for tol in (2e-3, 5e-3, 1e-2):
                 expect = float(np.mean(np.asarray(dists) <= tol))
                 assert continuation._share_near_polyline(q, line, tol) == expect
+
+    def test_chord_sagitta_of_a_sampled_circle(self):
+        radius, step = 0.2, math.pi / 4
+        angle = np.arange(7) * step
+        line = np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(7)])
+        exact = radius * (1 - math.cos(step / 2))
+        assert continuation._chord_sagitta(line) == pytest.approx(np.full(6, exact), rel=0.02)
+        assert continuation._chord_sagitta(line[:2]) == 0.0
+
+    def test_one_point_curves_at_one_place_interleave(self):
+        params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
+        one = self._bent_arc(params, straight_n=2, bend_n=3)
+        one = BoundaryCurve(one.points[:1], CurveEnd.STEP_FAILURE, CurveEnd.STEP_FAILURE)
+        assert continuation.curves_interleave(one, one, params)
+        assert continuation.deduplicate_curves([one, one], params) == [one]
 
     def test_start_on_a_traced_curve_lies_on_it(self):
         params = ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
@@ -783,7 +789,7 @@ class TestDeduplication:
             "trace-boundary", "--preset", "fig4-l0.159-d0", "--out", str(tmp_path),
             "--set", "continuation.m_seeds=3.0,6.0",
         ]) == 0
-        assert len(calls) == 4 and len({(s.m, s.n_total, s.omega) for s in calls}) == 2
+        assert len(calls) == 2 and len({(s.m, s.n_total, s.omega) for s in calls}) == 2
         data = np.genfromtxt(tmp_path / "curves.csv", delimiter=",", names=True)
         assert set(data["curve_id"].tolist()) == {0.0, 1.0}
 

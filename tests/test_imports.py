@@ -1,10 +1,14 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used by the module that imports it, and the
+command-line entry point loads no more of scipy than it needs.
 
-Package ``__init__`` modules are exempt: their imports are the package's
-re-exports.
+Package ``__init__`` modules are exempt from the unused-import check: their
+imports are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,3 +37,12 @@ def test_no_unused_imports():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter, so modules imported by earlier tests cannot mask it
+    probe = "import sys, tde_plankton.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from tde_plankton import equilibria, linearize, model
-from tde_plankton.exceptions import BracketError, DomainError
+from tde_plankton.exceptions import DomainError, SingularRateError
 from tde_plankton.linearize import LinearizationData
 from tde_plankton.model import ModelParams
 
@@ -690,20 +692,69 @@ class TestElementIndependence:
                 assert_bitwise_equal(part, whole[keep])
 
 
+def tau_frechet_check(
+    p_star: float,
+    perturbation,
+    eps: float,
+    params: ModelParams,
+) -> float:
+    """Remainder ratio of the linearized threshold-delay functional.
+
+    For a constant base history at ``p_star`` perturbed by eps*perturbation,
+    compares the true maturation delay (threshold integral solved
+    numerically) against its linear prediction, and returns
+
+        |tau(P*+eps*h) - tau(P*) + (R'(P*)/R(P*)) * int eps*h| / sup|eps*h|.
+
+    The caller asserts that the ratio decays as eps does.
+    """
+    if params.m <= 0:
+        raise DomainError("the check needs a positive maturity requirement")
+    r_base = float(model.r_growth(p_star, params))
+    if r_base < params.r_floor:
+        raise SingularRateError("base growth rate below floor")
+    tau_base = params.m / r_base
+
+    def p_of(u: float) -> float:
+        return p_star + eps * perturbation(u)
+
+    r_hi = 4.0 * tau_base
+
+    def accumulated(tau: float) -> float:
+        val, _ = quad(lambda u: model.r_growth(p_of(u), params), -tau, 0.0, limit=200)
+        return val
+
+    lo_grid = np.linspace(-r_hi, 0.0, 4097)
+    p_vals = np.array([p_of(u) for u in lo_grid])
+    if np.any(p_vals <= 0):
+        raise ValueError("perturbation drives the phytoplankton history nonpositive")
+    if accumulated(r_hi) < params.m:
+        raise ValueError("threshold not reached within the bracket; eps too large")
+    tau_pert = brentq(lambda t: accumulated(t) - params.m, 0.0, r_hi, xtol=1e-14)
+
+    sup_norm = float(eps) * float(np.max(np.abs([perturbation(u) for u in lo_grid])))
+    if sup_norm == 0.0:
+        return 0.0
+    integral, _ = quad(lambda u: eps * perturbation(u), -tau_base, 0.0, limit=200)
+    rp = float(model.r_growth_prime(p_star, params))
+    remainder = abs(tau_pert - tau_base + (rp / r_base) * integral)
+    return remainder / sup_norm
+
+
 class TestTauFrechet:
     def test_zero_perturbation(self, table1):
         p = table1(delta0=0.17, m=6.0, n_total=1.0)
-        assert linearize.tau_frechet_check(0.3, lambda u: 0.0, 1e-3, p) == 0.0
+        assert tau_frechet_check(0.3, lambda u: 0.0, 1e-3, p) == 0.0
 
     def test_constant_response_exact(self, table1):
         p = table1(delta0=0.17, l=None, m=4.0, n_total=1.0)
-        ratio = linearize.tau_frechet_check(0.3, lambda u: math.sin(u), 1e-2, p)
+        ratio = tau_frechet_check(0.3, lambda u: math.sin(u), 1e-2, p)
         assert ratio <= 1e-12
 
     def test_remainder_decays_linearly(self, table1):
         p = table1(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
         ratios = [
-            linearize.tau_frechet_check(0.3, lambda u: 1.0, eps, p)
+            tau_frechet_check(0.3, lambda u: 1.0, eps, p)
             for eps in (1e-2, 1e-3, 1e-4)
         ]
         assert ratios[0] > ratios[1] > ratios[2]
@@ -721,5 +772,5 @@ class TestTauFrechet:
 
     def test_overlarge_perturbation_rejected(self, table1):
         p = table1(delta0=0.17, l=0.159, m=6.0, n_total=1.0)
-        with pytest.raises(BracketError):
-            linearize.tau_frechet_check(0.3, lambda u: -1.0, 0.31, p)
+        with pytest.raises(ValueError, match="nonpositive"):
+            tau_frechet_check(0.3, lambda u: -1.0, 0.31, p)

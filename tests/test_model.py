@@ -34,6 +34,14 @@ class TestParams:
         with pytest.raises(ParamError):
             ModelParams(delta0=-0.1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("delta0", math.nan), ("m", math.nan), ("m", math.inf), ("mu", math.inf),
+        ("l", math.inf), ("r_star", math.inf), ("r_floor", math.inf),
+    ])
+    def test_non_finite_value_rejected(self, name, value):
+        with pytest.raises(ParamError, match=name):
+            ModelParams(**{name: value})
+
 
 class TestResponses:
     def test_f_anchor_values(self, table1):
