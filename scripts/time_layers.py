@@ -9,7 +9,9 @@ grid 256 and 512, one stability verdict (``rightmost_real_part``) at grid
 512, the scan's dedupe of its accepted iterates, the coexistence solve, and
 char_fn on one scalar and on 512 imaginary-axis seeds.  On fig6-stable with
 200 panels per delay: one ``integrate`` step, from a run of two delays, and
-``juvenile_pool`` over the delay windows of that run.
+``juvenile_pool`` over the delay windows of that run.  Last, ``cli import``:
+a fresh interpreter that imports the command-line entry point, start-up
+included.
 
 Each line is the minimum over ``--repeats`` rounds of the mean time per
 call (per step for ``integrate``) in a round (plain ``time.perf_counter``),
@@ -20,9 +22,12 @@ e.g.
 """
 
 import argparse
+import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +57,14 @@ def _simulation_layers():
                    for k in ("t_hat", "p", "z"))
     return (steps, lambda: simulate.integrate(buf, steps * dt),
             lambda: model.juvenile_pool(t_hat, p, z, PANELS, params))
+
+
+def _import_cli():
+    """Run ``import tde_plankton.cli`` in a fresh interpreter that finds the
+    package where this process found it."""
+    path = [str(Path(continuation.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    subprocess.run([sys.executable, "-c", "import tde_plankton.cli"], env=env, check=True)
 
 
 def _layers():
@@ -96,6 +109,7 @@ def _layers():
         ("char_fn 512 seeds", 100, lambda: linearize.char_fn(seeds, lin), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
         (f"juvenile_pool ({steps + 1} windows)", 5, pool, 1),
+        ("cli import", 1, _import_cli, 1),
     ]
 
 

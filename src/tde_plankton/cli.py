@@ -106,6 +106,8 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
     for m in tr.m_seeds:
         if m >= ceiling:
             warnings.append(f"seed m={m:g} at or above the ceiling {ceiling:.6g}; dropped")
+        elif m >= m_max:
+            warnings.append(f"seed m={m:g} at or above continuation.m_max {m_max:.6g}; dropped")
         else:
             m_seeds.append(m)
     for w in warnings:

@@ -220,6 +220,7 @@ def build_config(
         ("continuation.omega_windows",
          isinstance(windows, str) or all(0 <= lo < hi for lo, hi in windows),
          "none, auto or lo:hi pairs with 0 <= lo < hi"),
+        ("continuation.m_max", trace["m_max"] > 0, "positive"),
         ("continuation.max_steps", trace["max_steps"] >= 1, "at least 1"),
         ("continuation.corrector_tol", trace["corrector_tol"] > 0, "positive"),
         ("continuation.grid_n", trace["grid_n"] >= 64, "at least 64"),

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import equilibria, linearize
 from .exceptions import (
@@ -316,7 +315,7 @@ def find_start(
             f"no stability flip over n_total in ({lo:g}, {hi:g}) at m={m_fixed:g}"
         )
     # the relative width alone ends the solve
-    nt_mid = brentq(inner_signal, lo, hi, xtol=1e-300, rtol=BISECT_RTOL)
+    nt_mid = equilibria.brentq(inner_signal, lo, hi, xtol=1e-300, rtol=BISECT_RTOL)
 
     eq, lin = linearized(nt_mid)
     s_near = linearize._rightmost_root(lin, omega_window, grid_n)

@@ -11,11 +11,11 @@ carrying the standing phytoplankton stock required to sustain grazers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import model
 from .exceptions import DomainError, NoCoexistenceError, NoSignChangeError, NotExistError
@@ -26,7 +26,69 @@ from .model import ModelParams, R_INFINITY
 DEGENERACY_RTOL = 1e-12
 
 #: Relative width at which Brent's method stops: the tightest scipy accepts.
-BRENT_RTOL = 4 * np.finfo(float).eps
+#: A plain float, so that the roots stay Python floats.
+BRENT_RTOL = 4 * sys.float_info.epsilon
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of ``f`` on the sign-changing bracket [a, b] by Brent's method.
+
+    A port of scipy's ``brentq.c`` (Brent 1973, *Algorithms for Minimization
+    Without Derivatives*, ch. 4) in its order of operations, so it returns the
+    same float as ``scipy.optimize.brentq``: an end where ``f`` is exactly 0,
+    else the iterate once the bracket is narrower than ``xtol + rtol*|x|``.
+    Raises ValueError when both ends have one sign or ``f`` returns NaN, and
+    RuntimeError after scipy's default of 100 steps; what ``f`` raises
+    propagates.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an underflowed slope: C's inf or NaN step bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 class EquilibriumKind(Enum):
@@ -99,7 +161,7 @@ def solve_p2star(params: ModelParams) -> float:
     hi = 2.0 * lo
     for _ in range(200):
         if _maturity_residual(hi, params) > 0.0:
-            return brentq(_maturity_residual, lo, hi, args=(params,), xtol=1e-300,
+            return brentq(lambda p: _maturity_residual(p, params), lo, hi, xtol=1e-300,
                           rtol=BRENT_RTOL)
         hi *= 2.0
     raise NoSignChangeError(f"no sign change up to hi={hi:g}")

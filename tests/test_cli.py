@@ -113,6 +113,8 @@ class TestExitCodes:
         "trace-boundary --set continuation.omega_windows=-1:0.5",
         "trace-boundary --set continuation.omega_windows=0.1:inf",
         "trace-boundary --set continuation.m_max=nan",
+        "trace-boundary --set continuation.m_max=0",
+        "trace-boundary --set continuation.m_max=-1",
         "trace-boundary --set continuation.max_steps=0",
         "trace-boundary --set continuation.corrector_tol=0",
     ])
@@ -407,6 +409,22 @@ class TestTraceCommand:
         assert code == 0
         err = capsys.readouterr().err
         assert "clipped" in err and "dropped" in err
+
+    def test_seed_at_or_above_m_max_dropped_with_warning(self, tmp_path, capsys):
+        # below the ceiling (19.77) but outside the requested maturity range
+        code = run_cli([
+            "trace-boundary", "--out", str(tmp_path),
+            "--set", "model.delta0=0.17", "--set", "model.m=6",
+            "--set", "continuation.m_seeds=6",
+            "--set", "continuation.nt_min=2", "--set", "continuation.nt_max=5",
+            "--set", "continuation.m_max=5",
+        ])
+        assert code == 0
+        assert "warning: seed m=6 at or above continuation.m_max 5; dropped" in (
+            capsys.readouterr().err)
+        md = json.loads((tmp_path / "metadata.json").read_text())
+        assert md["curves"] == [] and md["seed_failures"] == []
+        assert (tmp_path / "curves.csv").read_text().count("\n") == 1
 
 
 class TestCheckCommand:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from tde_plankton import equilibria, model
-from tde_plankton.exceptions import DomainError, NoCoexistenceError, NotExistError
+from tde_plankton.exceptions import (
+    DomainError, NoCoexistenceError, NoSignChangeError, NotExistError,
+)
 from tde_plankton.model import ModelParams
 
 from conftest import bisect_oracle, trapezoid
@@ -238,6 +241,88 @@ class TestBrentRoots:
         p2 = equilibria.solve_p2star(p)
         assert p2 == p_base * (1.0 + 1e-12)
         assert maturity_residual(p_base, p) <= 0.0 <= maturity_residual(p2, p)
+
+
+def _outcome(solve, f, a, b, **kw):
+    """The root's repr (which tells -0.0 from 0.0), or the exception's type."""
+    try:
+        return repr(solve(f, a, b, **kw))
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__
+
+
+class TestBrentSolver:
+    """The package's Brent solver returns what scipy.optimize.brentq returns."""
+
+    TOLERANCES = [(1e-300, equilibria.BRENT_RTOL), (2e-12, equilibria.BRENT_RTOL),
+                  (1e-300, 1e-10)]
+    SHAPES = {
+        "linear": lambda x, r: x - r,
+        "cubic": lambda x, r: (x - r) ** 3,
+        "quintic": lambda x, r: (x - r) ** 5,
+        "atan": lambda x, r: math.atan(8.0 * (x - r)) + 0.01 * (x - r),
+        "expm1": lambda x, r: math.expm1(x - r),
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.sampled_from(sorted(SHAPES)),
+        root=st.floats(min_value=-10.0, max_value=10.0),
+        below=st.floats(min_value=1e-6, max_value=20.0),
+        above=st.floats(min_value=1e-6, max_value=20.0),
+        # down to 1e-300, where values and slopes underflow and the `- delta`
+        # of the short-step test decides steps
+        decade=st.sampled_from([-300, -250, -200, -150, -100, 0, 100, 200]),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        swap=st.booleans(),
+    )
+    def test_bit_equal_to_scipy(self, shape, root, below, above, decade, frac, sign, swap):
+        scale = sign * 10.0 ** (decade + frac)
+        fn = self.SHAPES[shape]
+
+        def f(x):
+            return scale * fn(x, root)
+
+        a, b = root - below, root + above
+        if swap:
+            a, b = b, a
+        for xtol, rtol in self.TOLERANCES:
+            ours = _outcome(equilibria.brentq, f, a, b, xtol=xtol, rtol=rtol)
+            assert ours == _outcome(scipy_brentq, f, a, b, xtol=xtol, rtol=rtol)
+
+    @pytest.mark.parametrize("f, a, b, expect", [
+        (lambda x: x - 1.0, 1.0, 3.0, "1.0"),  # exact zero at a
+        (lambda x: x - 3.0, 1.0, 3.0, "3.0"),  # exact zero at b
+        (lambda x: -0.0 if x == 1.0 else x - 0.5, 1.0, -2.0, "1.0"),  # f(a) = -0.0
+        (lambda x: x * x + 1.0, -1.0, 2.0, "ValueError"),  # positive at both ends
+        (lambda x: -x * x - 0.1, 1.0, 2.0, "ValueError"),  # negative at both ends
+        (lambda x: math.nan if x == 1.0 else x, -1.0, 1.0, "ValueError"),  # NaN at b
+        # the first secant step lands at 0.3, where f is NaN
+        (lambda x: x - 0.3 if abs(x) > 0.5 else math.nan, -1.0, 1.0, "ValueError"),
+        # f takes two values, so every step bisects, and 100 halvings of 2
+        # do not reach 1e-300 next to the root at 0
+        (lambda x: math.copysign(1.0, x), -1.0, 2.0, "RuntimeError"),
+        # slopes underflow to 0: scipy's step divides by zero and bisects
+        (lambda x: 3.3e-228 * (x + 2.62) ** 3, -20.9, 6.86, "-2.6200000000000006"),
+    ])
+    def test_edge_cases_match_scipy(self, f, a, b, expect):
+        kw = dict(xtol=1e-300, rtol=equilibria.BRENT_RTOL)
+        ours = _outcome(equilibria.brentq, f, a, b, **kw)
+        assert ours == _outcome(scipy_brentq, f, a, b, **kw)
+        assert ours == expect
+
+    def test_error_from_the_function_propagates(self):
+        def lost(x):
+            raise NoSignChangeError(f"no root at {x}")
+
+        with pytest.raises(NoSignChangeError, match="no root at 0.0"):
+            equilibria.brentq(lost, 0.0, 1.0, xtol=1e-300, rtol=equilibria.BRENT_RTOL)
+
+    def test_roots_are_python_floats(self):
+        root = equilibria.brentq(lambda x: np.float64(x) - 0.25, np.float64(0.0), 1,
+                                 xtol=1e-300, rtol=equilibria.BRENT_RTOL)
+        assert type(root) is float and type(equilibria.BRENT_RTOL) is float
 
 
 class TestSpectrum:

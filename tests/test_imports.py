@@ -1,5 +1,5 @@
 """Every imported name is used by the module that imports it, and the
-command-line entry point loads no more of scipy than it needs.
+package imports no part of scipy, which only the tests use.
 
 Package ``__init__`` modules are exempt from the unused-import check: their
 imports are the package's re-exports.
@@ -39,10 +39,15 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def test_package_import_leaves_scipy_unloaded():
     # a fresh interpreter, so modules imported by earlier tests cannot mask it
-    probe = "import sys, tde_plankton.cli; print('scipy.integrate' in sys.modules)"
+    modules = sorted(path.stem for path in (ROOT / "src" / "tde_plankton").glob("*.py")
+                     if path.name != "__init__.py")
+    assert {"cli", "equilibria", "linearize", "continuation", "simulate"} <= set(modules)
+    probe = ("import importlib, sys\n"
+             f"for name in {modules!r}: importlib.import_module('tde_plankton.' + name)\n"
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
