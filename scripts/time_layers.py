@@ -9,9 +9,10 @@ grid 256 and 512, one stability verdict (``rightmost_real_part``) at grid
 512, the scan's dedupe of its accepted iterates, the coexistence solve, and
 char_fn on one scalar and on 512 imaginary-axis seeds.  On fig6-stable with
 200 panels per delay: one ``integrate`` step, from a run of two delays, and
-``juvenile_pool`` over the delay windows of that run.  Last, ``cli import``:
-a fresh interpreter that imports the command-line entry point, start-up
-included.
+``juvenile_pool`` over the delay windows of that run; then ``juvenile_pool``
+over the 6,000 windows of a run at 400 panels per delay, the size of a
+sim-fig6 benchmark task.  Last, ``cli import``: a fresh interpreter that
+imports the command-line entry point, start-up included.
 
 Each line is the minimum over ``--repeats`` rounds of the mean time per
 call (per step for ``integrate``) in a round (plain ``time.perf_counter``),
@@ -42,21 +43,22 @@ BOUNDARY_POINT = (0.6595510534361235, 0.236286571992287, 0.41112209023762486,
 
 #: Steps per delay, and delays per run, of the timed integrate layer.
 PANELS, DELAYS = 200, 2
+#: Steps per delay, and steps, of the long run for the second pool layer.
+LONG_PANELS, LONG_STEPS = 400, 6000
 
 
-def _simulation_layers():
-    """(steps per run, a run of ``integrate`` on fig6-stable from one initial
-    history, and ``juvenile_pool`` over the windows of that run)."""
+def _fig6_run(panels, steps):
+    """(a run of ``integrate`` on fig6-stable from one initial history, and
+    ``juvenile_pool`` over the windows of that run)."""
     params = equilibria.resolve_r_star(
         build_config(preset_values("fig6-stable"), None, {}).params)
-    dt = params.m / params.r_star / PANELS
+    dt = params.m / params.r_star / panels
     buf = simulate.build_initial(simulate.HistorySpec.at_equilibrium(1e-3, 1e-3), params, dt)
-    steps = PANELS * DELAYS
     traj = simulate.integrate(buf, steps * dt)
     t_hat, p, z = (np.concatenate([getattr(buf, k)[:-1], getattr(traj, k)])
                    for k in ("t_hat", "p", "z"))
-    return (steps, lambda: simulate.integrate(buf, steps * dt),
-            lambda: model.juvenile_pool(t_hat, p, z, PANELS, params))
+    return (lambda: simulate.integrate(buf, steps * dt),
+            lambda: model.juvenile_pool(t_hat, p, z, panels, params))
 
 
 def _import_cli():
@@ -92,7 +94,9 @@ def _layers():
     def scan(grid_n):
         return lambda: linearize.scan_roots(replace(lin), grid_n=grid_n)
 
-    steps, run_steps, pool = _simulation_layers()
+    steps = PANELS * DELAYS
+    run_steps, pool = _fig6_run(PANELS, steps)
+    long_pool = _fig6_run(LONG_PANELS, LONG_STEPS)[1]
     xl = x.tolist()
     return [
         ("_residual", 200, lambda: continuation._residual(xl, params, m_scale), 1),
@@ -109,6 +113,7 @@ def _layers():
         ("char_fn 512 seeds", 100, lambda: linearize.char_fn(seeds, lin), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
         (f"juvenile_pool ({steps + 1} windows)", 5, pool, 1),
+        (f"juvenile_pool ({LONG_STEPS + 1} windows)", 5, long_pool, 1),
         ("cli import", 1, _import_cli, 1),
     ]
 

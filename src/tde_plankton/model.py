@@ -34,10 +34,10 @@ R_FLOOR_DEFAULT = 1e-14
 #: Saturation limit of both growth-response variants (maturity units/day).
 R_INFINITY = 1.0
 
-#: Window entries per block of :func:`juvenile_pool`.  Sizing the blocks by
-#: entries rather than windows keeps the scratch arrays at a few hundred kB
-#: whatever the number of panels per delay.
-POOL_BLOCK_ENTRIES = 1 << 14
+#: Largest rise of the discount exponent delta0*tau_hat across the "nows" of
+#: one block of :func:`juvenile_pool`.  The prefix sums scale samples by up
+#: to exp(POOL_EXP_SPAN), and their rounding grows by about 1e-16 per unit.
+POOL_EXP_SPAN = 50.0
 
 
 class StateNPZ(NamedTuple):
@@ -272,36 +272,78 @@ def juvenile_pool(
     result has ``len(t_hat) - lag`` entries (zeros when ``lag == 0``).  The
     maturity integral uses the composite trapezoid rule on the grid mapped
     through s = r_star * (t_hat_now - r), with the maturation lag tau_hat(s)
-    accumulated by the same rule and each window's step taken from its own
-    first two stored times (stored times drift from multiples of the step by
-    rounding; over the fig7 horizon a fixed step would move the pool by
-    1e-12*n_total).  Windows go in blocks of about POOL_BLOCK_ENTRIES entries.
+    accumulated by the same rule and each window's step dt_k taken from its
+    own first two stored times (stored times drift from multiples of the
+    step by rounding; over the fig7 horizon a fixed step would move the pool
+    by 1e-12*n_total).
+
+    The cost is linear in the number of samples, whatever the lag.  With c
+    the unit-step running trapezoid of r_star/R, the discount of sample i in
+    window k is exp(-delta0*dt_k*(c_now - c_i)), which splits into a factor
+    of "now" and one of the sample at a common step h.  So each window's sum
+    is a difference of prefix sums, taken in blocks of at most ``lag``
+    windows with c rebased at each block's first "now" (fewer windows where
+    the exponent would pass POOL_EXP_SPAN) and h the step of the block's
+    first window.  That window is then summed as in a call that holds it
+    alone, so a run's first pool is bit-equal to its history's.  dt_k enters
+    the exponent to first order, through a second prefix sum; the next term
+    is about 1e-22 relative for stored times.
     """
     rs = params.require_r_star()
     r_vals = r_growth(p, params)
     if np.any(r_vals < params.r_floor):
         raise SingularRateError("growth rate below floor inside the history window")
-    out = np.zeros(t_hat.size - lag)
-    if lag == 0:
-        return out
+    n_out = t_hat.size - lag
+    if lag == 0 or n_out == 0:
+        return np.zeros(n_out)
     inv_r = rs / r_vals
     # per-sample birth flux over r_star
     weight = params.gamma * params.g * z * h_grazing(p, params) * inv_r / rs
-    dt = t_hat[1:] - t_hat[:-1]
-    # reversed, each window runs from "now" backwards
-    weight_win, inv_r_win = (np.lib.stride_tricks.sliding_window_view(x, lag + 1)[:, ::-1]
-                             for x in (weight, inv_r))
-    block = max(1, POOL_BLOCK_ENTRIES // (lag + 1))
-    for a in range(0, out.size, block):
-        b = min(a + block, out.size)
-        rev = inv_r_win[a:b]
-        tau = np.zeros((b - a, lag + 1))
-        np.cumsum(dt[a:b, None] * 0.5 * (rev[:, :-1] + rev[:, 1:]), axis=1, out=tau[:, 1:])
-        integrand = np.exp(-params.delta0 * tau) * weight_win[a:b]
-        out[a:b] = rs * dt[a:b] * (
-            integrand[:, 0] / 2 + integrand[:, 1:-1].sum(axis=1) + integrand[:, -1] / 2
-        )
-    return out
+    dt = t_hat[1:n_out + 1] - t_hat[:n_out]  # each window's own step
+    panel = 0.5 * (inv_r[:-1] + inv_r[1:])
+
+    block = lag
+    if params.delta0 > 0:
+        c_run = np.concatenate(([0.0], np.cumsum(panel)))
+        rate_max = params.delta0 * np.max(dt)
+        while block > 1:
+            first = np.arange(lag, t_hat.size, block)
+            last = np.minimum(first + block - 1, t_hat.size - 1)
+            if rate_max * np.max(c_run[last] - c_run[first]) <= POOL_EXP_SPAN:
+                break
+            block //= 2
+    # block b holds windows b*block.., that is samples b*block..b*block+width-1;
+    # padding completes the last block and is dropped at the end
+    n_blocks = -(-n_out // block)
+    width = block + lag
+    pad = n_blocks * block - n_out
+    weight, panel, dt = (np.concatenate((x, np.full(pad, fill)))
+                         for x, fill in ((weight, 0.0), (panel, 0.0), (dt, dt[-1])))
+    dt = dt.reshape(n_blocks, block)
+    h = dt[:, :1]
+    rate = params.delta0 * h
+    windows = np.lib.stride_tricks.sliding_window_view
+    # c summed outwards from the block's first "now", to keep its rounding
+    # small on the samples that weigh most
+    c = np.zeros((n_blocks, width))
+    panels = windows(panel, width - 1)[::block]
+    np.cumsum(panels[:, lag:], axis=1, out=c[:, lag + 1:])
+    np.cumsum(panels[:, lag - 1::-1], axis=1, out=c[:, lag - 1::-1])
+    c[:, :lag] *= -1.0
+    g = np.exp(rate * c)
+    g *= windows(weight, width)[::block]
+    c_now = c[:, lag:]
+
+    def window_sums(x):
+        prefix = np.zeros((n_blocks, width + 1))
+        np.cumsum(x, axis=1, out=prefix[:, 1:])
+        return prefix[:, lag + 1:] - prefix[:, :block] - 0.5 * (x[:, :block] + x[:, lag:])
+
+    total = window_sums(g)
+    moment = window_sums(c * g)  # sum of c_i g_i
+    out = rs * dt * np.exp(-rate * c_now) * (
+        total - params.delta0 * (dt - h) * (c_now * total - moment))
+    return out.ravel()[:n_out]
 
 
 def conservation_value(

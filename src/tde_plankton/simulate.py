@@ -239,19 +239,21 @@ def integrate(
     )
     tau_m = np.empty(n_steps + 2)
     tau_m[0] = tau_now = buf.tau_m
+    # the loop reads and writes single samples as Python floats
+    t_v, n_v, p_v, z_v, r_v, tau_v = map(memoryview, (t_hat, n, p, z, inv_r, tau_m))
     termination = Termination.HORIZON_REACHED
     tau_drift_max = 0.0
     crossing = None
 
     i = lag  # the last sample written, at t_hat = 0 before the first step
     for step in range(1, n_steps + 1):
-        cn, cp, cz = float(n[i]), float(p[i]), float(z[i])
+        cn, cp, cz = n_v[i], p_v[i], z_v[i]
         if cp <= p_floor:
             termination = Termination.EXTINCTION
             break
         try:
             k1n, k1p, k1z = model._rhs(
-                cn, cp, cz, float(p[i - lag]), float(z[i - lag]), tau_now, params
+                cn, cp, cz, p_v[i - lag], z_v[i - lag], tau_now, params
             )
         except SingularRateError:
             termination = Termination.SINGULAR_RATE
@@ -260,7 +262,7 @@ def integrate(
         pn, pp, pz = cn + dt * k1n, cp + dt * k1p, cz + dt * k1z
         if pp <= p_floor:
             theta = (cp - p_floor) / (cp - pp)
-            crossing = (t_hat[i] + theta * dt, StateNPZ(
+            crossing = (t_v[i] + theta * dt, StateNPZ(
                 cn + theta * dt * k1n, p_floor, max(cz + theta * dt * k1z, 0.0)
             ))
             break
@@ -273,9 +275,9 @@ def integrate(
         # a predictor below the rate floor ends the run in stage two's _rhs
         if lag > 0:
             inv_r_pred = rs / model._r(pp, params)
-            oldest = dt * 0.5 * (inv_r[i - lag] + inv_r[i - lag + 1])
-            tau_pred = tau_now + dt * 0.5 * (inv_r[i] + inv_r_pred) - oldest
-            p_del, z_del = float(p[i + 1 - lag]), float(z[i + 1 - lag])
+            oldest = dt * 0.5 * (r_v[i - lag] + r_v[i - lag + 1])
+            tau_pred = tau_now + dt * 0.5 * (r_v[i] + inv_r_pred) - oldest
+            p_del, z_del = p_v[i + 1 - lag], z_v[i + 1 - lag]
         else:
             # no delay: the "delayed" sample at the next node is the node itself
             tau_pred = 0.0
@@ -291,7 +293,7 @@ def integrate(
         z_new = cz + 0.5 * dt * (k1z + k2z)
         if p_new <= p_floor:
             theta = (cp - p_floor) / (cp - p_new)
-            crossing = (t_hat[i] + theta * dt, StateNPZ(
+            crossing = (t_v[i] + theta * dt, StateNPZ(
                 cn + theta * (n_new - cn), p_floor, max(cz + theta * (z_new - cz), 0.0)
             ))
             break
@@ -309,16 +311,16 @@ def integrate(
             raise SingularRateError("growth rate below floor at a new sample")
 
         j = i + 1
-        t_hat[j], n[j], p[j], z[j], inv_r[j] = t_hat[i] + dt, n_new, p_new, z_new, rs / r_new
+        t_v[j], n_v[j], p_v[j], z_v[j], r_v[j] = t_v[i] + dt, n_new, p_new, z_new, rs / r_new
         if lag > 0:
-            tau_new = tau_now + dt * 0.5 * (inv_r[i] + inv_r[j]) - oldest
+            tau_new = tau_now + dt * 0.5 * (r_v[i] + r_v[j]) - oldest
             if step % tau_refresh_interval == 0:
                 scratch = _lag_trapezoid(inv_r[j - lag: j + 1], dt)
                 tau_drift_max = max(tau_drift_max, abs(tau_new - scratch))
                 tau_new = scratch
         else:
             tau_new = 0.0
-        tau_m[step] = tau_now = tau_new
+        tau_v[step] = tau_now = tau_new
         i = j
 
     on_grid = i + 1 - lag  # rows on the uniform grid

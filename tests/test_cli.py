@@ -180,13 +180,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sets", [
         ["model.m=15"], ["model.m=25", "model.delta0=0.17"],
-        ["model.m=18", "model.delta0=0.17"],
+        ["model.m=18", "model.delta0=0.17"], ["model.m=19.7", "model.delta0=0.17"],
     ])
     def test_check_suite_passes_at_long_delays(self, tmp_path, sets):
         # the E1 delay is long here (T ~ 148 at m = 15): sample points far
         # left of the imaginary axis would overflow exp(-s T); near the
         # coexistence ceiling (m = 18, delta0 = 0.17) the uptake rate times
-        # the delay is about 400, too fast for a run at T/64
+        # the delay is about 400, too fast for a run at T/64, and at m = 19.7
+        # the run takes 16,384 panels per delay
         args = ["check", "--out", str(tmp_path)]
         for item in sets:
             args += ["--set", item]

@@ -272,12 +272,41 @@ class TestJuvenilePool:
         assert pool.shape == (1,)
         np.testing.assert_allclose(pool, _pool_loop(t, pp, z, 40, p), rtol=1e-13, atol=0)
 
-    def test_run_windows_match_a_loop(self, monkeypatch):
-        # a small block size makes the windows span several blocks
-        monkeypatch.setattr(model, "POOL_BLOCK_ENTRIES", 100)
+    def test_run_windows_match_a_loop(self):
+        # three delays of windows span several blocks of lag windows
         p, lag, (t, pp, z) = self._run(6.0, 32)
         pool = model.juvenile_pool(t, pp, z, lag, p)
         assert pool.size == t.size - lag and np.ptp(pool) > 0
+        np.testing.assert_allclose(pool, _pool_loop(t, pp, z, lag, p), rtol=1e-13, atol=0)
+
+    @staticmethod
+    def _random_series(params, lag, size, seed):
+        rng = np.random.default_rng(seed)
+        t = params.m / params.r_star / lag * (np.arange(size, dtype=float) - lag)
+        return t, rng.uniform(0.05, 1.0, size), rng.uniform(0.0, 1.0, size)
+
+    def test_jittered_steps_match_a_loop(self, table1):
+        # stored times drift from the grid by about 1e-11 of a step over long
+        # runs; each window keeps its own step, in the exponent as well
+        p = equilibria.resolve_r_star(table1(delta0=0.17, m=6.0, n_total=3.0))
+        t, pp, z = self._random_series(p, 40, 200, 7)
+        rng = np.random.default_rng(8)
+        t = t[0] + np.concatenate(([0.0], np.cumsum(
+            np.diff(t) * (1.0 + 1e-11 * rng.standard_normal(t.size - 1)))))
+        pool = model.juvenile_pool(t, pp, z, 40, p)
+        np.testing.assert_allclose(pool, _pool_loop(t, pp, z, 40, p), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("delta0", [0.17, 30.0])
+    def test_wide_discount_ranges_match_a_loop(self, table1, delta0):
+        # m = 19.7 at delta0 = 0.17 is the coexistence ceiling, the widest
+        # discount of the runs; at delta0 = 30 the discount over a delay,
+        # more than exp(-delta0*m) as R < 1, passes POOL_EXP_SPAN, so the
+        # blocks hold fewer windows than the lag
+        p = equilibria.resolve_r_star(table1(delta0=delta0, m=19.7, n_total=3.0))
+        assert (delta0 * p.m > model.POOL_EXP_SPAN) == (delta0 > 1)
+        lag = 200
+        t, pp, z = self._random_series(p, lag, 3 * lag, 9)
+        pool = model.juvenile_pool(t, pp, z, lag, p)
         np.testing.assert_allclose(pool, _pool_loop(t, pp, z, lag, p), rtol=1e-13, atol=0)
 
 
