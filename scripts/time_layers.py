@@ -6,9 +6,11 @@ simulation on its own.  At the fig4-l0.159-dd boundary point m = 6
 (l = 0.159, delta0 = 0.17): the scaled continuation residual, its
 finite-difference Jacobian, one Newton corrector step, the root scan at
 grid 256 and 512, one stability verdict (``rightmost_real_part``) at grid
-512, the scan's dedupe of its accepted iterates, the coexistence solve, and
-char_fn on one scalar and on 512 imaginary-axis seeds.  On fig6-stable with
-200 panels per delay: one ``integrate`` step, from a run of two delays, and
+512, the scan's dedupe of its accepted iterates, the coexistence solve,
+char_fn on one scalar and on 512 imaginary-axis seeds, and one start search
+(``find_start``) at the preset's m = 6 seed, its root scans included.  On
+fig6-stable with 200 panels per delay: one ``integrate`` step, from a run
+of two delays, and
 ``juvenile_pool`` over the delay windows of that run; then ``juvenile_pool``
 over the 6,000 windows of a run at 400 panels per delay, the size of a
 sim-fig6 benchmark task.  Last, ``cli import``: a fresh interpreter that
@@ -72,9 +74,14 @@ def _import_cli():
 def _layers():
     """(name, calls per round, zero-argument callable, units of work per
     call) for every layer."""
-    params = build_config(preset_values("fig4-l0.159-dd"), None, {}).params
+    cfg = build_config(preset_values("fig4-l0.159-dd"), None, {})
+    tr = cfg.trace
     m, nt, omega = BOUNDARY_POINT[3:]
-    params = replace(params, m=m, n_total=nt)
+    params = replace(cfg.params, m=m, n_total=nt)
+    # the CLI's start search at the seed m, in the preset's bracket
+    seed_opts = continuation.TraceOptions(
+        nt_min=tr.nt_min, nt_max=tr.nt_max, corrector_tol=tr.corrector_tol)
+    bracket = (max(tr.nt_min, equilibria.compute_nt2(params) * 1.001), tr.nt_max)
     m_scale = continuation._m_scale(params)
     x = continuation._pack(np.array(BOUNDARY_POINT), m_scale)
     base, lin = continuation._residual(x.tolist(), params, m_scale)
@@ -111,6 +118,8 @@ def _layers():
         ("solve_e2", 50, lambda: equilibria.solve_e2(params), 1),
         ("char_fn scalar", 500, lambda: linearize.char_fn(1j * omega, lin), 1),
         ("char_fn 512 seeds", 100, lambda: linearize.char_fn(seeds, lin), 1),
+        ("find_start", 1, lambda: continuation.find_start(
+            params, m, bracket, grid_n=tr.grid_n, opts=seed_opts), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
         (f"juvenile_pool ({steps + 1} windows)", 5, pool, 1),
         (f"juvenile_pool ({LONG_STEPS + 1} windows)", 5, long_pool, 1),

@@ -9,10 +9,11 @@ curves.  These are followed by pseudo-arclength continuation: a tangent
 predictor from the nullspace of the finite-difference Jacobian and a Newton
 corrector on the residuals augmented with the arclength hyperplane.  The
 same corrector polishes a start point, its hyperplane the unit vector along
-m so that m stays fixed.  The residual and its Jacobian columns run on
+m so that m stays fixed; a stepping corrector may move at most MAX_MOVE
+steps from its predictor.  The residual and its Jacobian columns run on
 plain floats, the characteristic function and its scale read in one pass
-off the closed form that :func:`linearize.linearization_at` computes, with
-no matrices built.
+off the closed form that :func:`linearize.linearization_entries` computes,
+with no matrices built.
 
 Working coordinates are scaled so arclength is meaningful across the decades
 the curves span: pools by n_total, n_total by log10, m by the maturity
@@ -42,7 +43,8 @@ OMEGA_FLOOR = 1e-4
 #: Forward finite-difference step per scaled working variable.
 FD_STEP = 1e-7
 
-#: Relative width at which the start search's root solve in n_total stops.
+#: Width in ln n_total, so relative width in n_total, at which the start
+#: search's root solve stops.
 BISECT_RTOL = 1e-3
 
 #: Accepted steps before a trace may end by closing on its start.
@@ -60,6 +62,10 @@ DEDUPE_TOL = 5e-3
 H_INIT = 1e-2
 H_MIN = 1e-6
 H_MAX = 1e-1
+
+#: Farthest a stepping corrector's iterate may move from its predictor, in
+#: steps h (scaled coordinates); a farther one fails the step, which halves h.
+MAX_MOVE = 2.0
 
 
 class CurveEnd(Enum):
@@ -123,14 +129,23 @@ def hopf_residual(
     linearization at (n, p, z, m).  A caller that already holds components
     1-3 passes them as ``eq_res``.
     """
-    n, p, z, m, nt, omega = map(float, u)
+    return _scaled_residual(*map(float, u), params, lin.char_form, lin.t_delay, eq_res)
+
+
+def _scaled_residual(
+    n: float, p: float, z: float, m: float, nt: float, omega: float,
+    params: ModelParams, form: linearize.CharForm, t_delay: float,
+    eq_res: tuple | None = None,
+) -> tuple[float, ...]:
+    """:func:`hopf_residual` on plain floats and the closed form and delay
+    of the linearization at (n, p, z, m)."""
     if p <= 0:
         raise DomainError("hopf_residual requires p_star > 0")
     if eq_res is None:
         eq_scale = max(1.0, nt)
         r1, r2, r3 = equilibria.residuals_at(n, p, z, m, nt, params)
         eq_res = (r1 / eq_scale, r2 / eq_scale, r3 / eq_scale)
-    val, scale = linearize.char_fn_and_scale(1j * omega, lin)
+    val, scale = linearize.char_fn_and_scale(1j * omega, form, t_delay)
     ch_scale = max(1.0, scale)
     return (*eq_res, val.real / ch_scale, val.imag / ch_scale)
 
@@ -169,19 +184,22 @@ def _fd_jacobian(
     lin: linearize.LinearizationData,
 ) -> np.ndarray:
     """Forward-difference Jacobian; ``base`` and ``lin`` are the scaled
-    residual at x and its linearization.  A step in omega moves neither the
-    linearization nor the steady-state residuals, so that column reuses both."""
+    residual at x and its linearization.  The state columns take the closed
+    form from :func:`linearize.linearization_entries` and build no record.
+    A step in omega moves neither the linearization nor the steady-state
+    residuals, so that column reuses both."""
     xl = x.tolist()
-    u = _unpack(xl, m_scale)
     cols = []
-    for j in range(6):
+    for j in range(5):
         xs = xl.copy()
         xs[j] += FD_STEP
-        if j < 5:
-            r = _residual(xs, params, m_scale)[0]
-        else:
-            r = hopf_residual((*u[:5], xs[5]), params, lin, base[:3])
+        u = _unpack(xs, m_scale)
+        form, t_delay = linearize.linearization_entries(*u[:4], params)[:2]
+        r = _scaled_residual(*u, params, form, t_delay)
         cols.append([(a - b) / FD_STEP for a, b in zip(r, base)])
+    u = _unpack(xl, m_scale)
+    r = _scaled_residual(*u[:5], xl[5] + FD_STEP, params, lin.char_form, lin.t_delay, base[:3])
+    cols.append([(a - b) / FD_STEP for a, b in zip(r, base)])
     return np.array(cols).T
 
 
@@ -197,18 +215,22 @@ def _newton_corrector(
     params: ModelParams,
     m_scale: float,
     opts: TraceOptions,
+    max_move: float = math.inf,
 ) -> tuple[np.ndarray, int, tuple] | None:
     """Newton on [scaled residual; tangent . (x - plane_point)] from x0.
 
     Returns (solution, iterations, (scaled residual there, its
     linearization)) or None on failure.  An iterate whose residual leaves
     the floating-point range (``math.exp`` or ``10**x`` overflowing far
-    outside the domain) counts as a failure too.
+    outside the domain) counts as a failure too, and so does one farther
+    than ``max_move`` from x0: a stepping corrector that drifts that far is
+    heading for another stretch of the locus, or for none.
     """
     x = x0.copy()
+    xl = start = x0.tolist()
     for it in range(1, opts.max_newton + 1):
         try:
-            res, lin = _residual(x.tolist(), params, m_scale)
+            res, lin = _residual(xl, params, m_scale)
         except (TdePlanktonError, OverflowError):
             return None
         f = (*res, float(tangent @ (x - plane_point)))
@@ -224,7 +246,9 @@ def _newton_corrector(
         except np.linalg.LinAlgError:
             return None
         x = x - step
-        if not np.all(np.isfinite(x)):
+        xl = x.tolist()
+        move = math.dist(xl, start)  # NaN or inf where x is not finite
+        if not move <= max_move or move == math.inf:
             return None
     return None
 
@@ -277,7 +301,8 @@ def find_start(
     """Locate one boundary point at fixed maturity by a root solve in total biomass.
 
     Brent's method finds where the (optionally frequency-windowed) rightmost
-    real part crosses zero, to BISECT_RTOL relative; the stepping corrector
+    real part crosses zero, solving in ln n_total to a width of BISECT_RTOL,
+    so to BISECT_RTOL relative in n_total; the stepping corrector
     (``opts``' tolerance and iteration cap) then polishes the remaining five
     unknowns, its arclength row pinning m, to a point :func:`trace_curve`
     accepts with the same ``opts``.  Any failure is a NoConvergeError.
@@ -309,13 +334,17 @@ def find_start(
         return f
 
     lo, hi = nt_bracket
-    f_lo, f_hi = signal(lo), signal(hi)
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    # the ends Brent evaluates again, so the verdicts there come from ``lins``
+    f_lo, f_hi = signal(math.exp(u_lo)), signal(math.exp(u_hi))
     if f_lo is None or f_hi is None or f_lo * f_hi > 0:
         raise NoSignChangeError(
             f"no stability flip over n_total in ({lo:g}, {hi:g}) at m={m_fixed:g}"
         )
-    # the relative width alone ends the solve
-    nt_mid = equilibria.brentq(inner_signal, lo, hi, xtol=1e-300, rtol=BISECT_RTOL)
+    nt_mid = math.exp(equilibria.brentq(
+        lambda u: inner_signal(math.exp(u)), u_lo, u_hi,
+        xtol=BISECT_RTOL, rtol=equilibria.BRENT_RTOL,
+    ))
 
     eq, lin = linearized(nt_mid)
     s_near = linearize._rightmost_root(lin, omega_window, grid_n)
@@ -385,7 +414,9 @@ def _trace_half(
     steps = 0
     while steps < opts.max_steps:
         predictor = x + h * tangent
-        got = _newton_corrector(predictor, predictor, tangent, params, m_scale, opts)
+        got = _newton_corrector(
+            predictor, predictor, tangent, params, m_scale, opts, MAX_MOVE * h
+        )
         if got is None:
             h *= 0.5
             if h < H_MIN:

@@ -17,12 +17,13 @@ A2 and A3 act on the zooplankton row only, so it is Q(s) - exp(-s*T) R(s)
 evaluates it as that row's entries times their cofactor polynomials (its
 rounding in step with the Hadamard yardstick's row norms; at a scalar both
 come from one pass, :func:`char_fn_and_scale`), the entries
-computed once in plain floats by :func:`linearization_at`, the only
-constructor of :class:`LinearizationData`, which rebuilds its matrices from
-them on demand.  Roots come from grid-seeded Newton iteration, each pass
-taking value and exact derivative by Horner on Q, R and S over the seeds
-still moving (a seed stops on a step below tol relative to its new iterate,
-or a non-finite one); each scan is kept on its linearization.  An iterate is a root where |char_fn| <= tol*B with B finite:
+computed once in plain floats by :func:`linearization_entries`;
+:func:`linearization_at`, the only constructor of
+:class:`LinearizationData`, keeps them in that record, which rebuilds its
+matrices from them on demand.  Roots come from grid-seeded Newton
+iteration, each pass taking value and exact derivative by Horner on Q, R
+and S over the seeds still moving (a seed stops on a step below tol
+relative to its new iterate, or a non-finite one); each scan is kept on its linearization.  An iterate is a root where |char_fn| <= tol*B with B finite:
 B is the Hadamard bound with each zooplankton-row entry taken as the sum of
 its terms' magnitudes, which stays away from zero where that row's delay
 factor vanishes (at the phytoplankton-only state the row is (0, 0, x2)).
@@ -126,10 +127,11 @@ class LinearizationData:
         return np.array([_ZERO_ROW, _ZERO_ROW, self.char_form.bottom[6:]])
 
 
-def linearization_at(
+def linearization_entries(
     n: float, p: float, z: float, m: float, params: ModelParams
-) -> LinearizationData:
-    """Linearization at an arbitrary state (n, p, z, m), from plain floats.
+) -> tuple[CharForm, float, float, float]:
+    """The closed form at an arbitrary state (n, p, z, m), from plain floats,
+    with no record built: (char_form, t_delay, f'(n), h(p)).
 
     DomainError for p <= 0 or n < 0, SingularRateError for R(p) below the
     floor, OverflowError where exp(-delta0*m/R) leaves the float range.
@@ -156,7 +158,16 @@ def linearization_at(
     bottom = (0.0, surv * gam * g * z * d * rp / r, -delta,  # row 2 of a1,
               0.0, surv * gam * g * z * (b - rp / r * d), surv * gam * g * d,  # of a2,
               0.0, delta0 * surv * gam * g * z * d * rp / r, 0.0)  # of a3
-    return LinearizationData(_form(top, bottom), big_t, a, d, delta0, max(mu, g, delta))
+    return _form(top, bottom), big_t, a, d
+
+
+def linearization_at(
+    n: float, p: float, z: float, m: float, params: ModelParams
+) -> LinearizationData:
+    """Linearization at an arbitrary state (n, p, z, m): the record of
+    :func:`linearization_entries`, which raises what it raises."""
+    return LinearizationData(*linearization_entries(n, p, z, m, params), params.delta0,
+                             max(params.mu, params.g, params.delta))
 
 
 def build_linearization(eq: EquilibriumPoint, params: ModelParams) -> LinearizationData:
@@ -216,15 +227,15 @@ def _hadamard(s, row, form: CharForm):
             * sqrt(x0 * x0 + x1 * x1 + x2 * x2))
 
 
-def char_fn_and_scale(s: complex, lin: LinearizationData) -> tuple[complex, float]:
-    """char_fn and char_scale at one complex point, from one pass: exp(-s*T),
-    K(s) and the zooplankton row serve both.  Each is NaN where its own
-    arithmetic leaves the float range (cmath.exp, or abs() in a row norm)."""
+def char_fn_and_scale(s: complex, form: CharForm, t_delay: float) -> tuple[complex, float]:
+    """char_fn and char_scale at one complex point, from one pass on a
+    linearization's closed form and delay: exp(-s*T), K(s) and the
+    zooplankton row serve both.  Each is NaN where its own arithmetic leaves
+    the float range (cmath.exp, or abs() in a row norm)."""
     try:
-        e, kern = _delay_terms_scalar(s, lin.t_delay)
+        e, kern = _delay_terms_scalar(s, t_delay)
     except (OverflowError, ValueError):
         return complex(math.nan, math.nan), math.nan
-    form = lin.char_form
     row = _bottom_row(s, e, kern, form)
     try:
         scale = _hadamard(s, row, form)
@@ -237,7 +248,7 @@ def _evaluate(s, lin: LinearizationData, fn, pick: int):
     """The ``pick`` part of char_fn_and_scale at a scalar; fn(s, zooplankton
     row, form) in numpy at an array."""
     if isinstance(s, (complex, float, int)) or np.ndim(s) == 0:
-        return char_fn_and_scale(complex(s), lin)[pick]
+        return char_fn_and_scale(complex(s), lin.char_form, lin.t_delay)[pick]
     s = np.asarray(s, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         e, kern, _ = _delay_terms(s, lin.t_delay)

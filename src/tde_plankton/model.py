@@ -39,6 +39,11 @@ R_INFINITY = 1.0
 #: to exp(POOL_EXP_SPAN), and their rounding grows by about 1e-16 per unit.
 POOL_EXP_SPAN = 50.0
 
+#: Most entries of one group of blocks of :func:`juvenile_pool`: its
+#: temporaries hold (blocks, block + lag) entries, so a run whose blocks
+#: shrink far below the lag takes them a group at a time.
+POOL_GROUP_ENTRIES = 2**20
+
 
 class StateNPZ(NamedTuple):
     """Nutrient, phytoplankton, mature-zooplankton triple (uM)."""
@@ -287,7 +292,10 @@ def juvenile_pool(
     first window.  That window is then summed as in a call that holds it
     alone, so a run's first pool is bit-equal to its history's.  dt_k enters
     the exponent to first order, through a second prefix sum; the next term
-    is about 1e-22 relative for stored times.
+    is about 1e-22 relative for stored times.  Each block spans its windows
+    and the lag before them, so the blocks are summed in groups of at most
+    POOL_GROUP_ENTRIES samples (one block at least), which bounds the
+    memory where the blocks shrink.
     """
     rs = params.require_r_star()
     r_vals = r_growth(p, params)
@@ -320,18 +328,37 @@ def juvenile_pool(
     weight, panel, dt = (np.concatenate((x, np.full(pad, fill)))
                          for x, fill in ((weight, 0.0), (panel, 0.0), (dt, dt[-1])))
     dt = dt.reshape(n_blocks, block)
-    h = dt[:, :1]
-    rate = params.delta0 * h
     windows = np.lib.stride_tricks.sliding_window_view
+    panels = windows(panel, width - 1)[::block]
+    weights = windows(weight, width)[::block]
+    out = np.empty((n_blocks, block))
+    # each block is summed on its own, so the groups change no value
+    group = max(1, POOL_GROUP_ENTRIES // width)
+    for b in range(0, n_blocks, group):
+        rows = slice(b, b + group)
+        out[rows] = _pool_blocks(panels[rows], weights[rows], dt[rows], lag, rs, params.delta0)
+    return out.ravel()[:n_out]
+
+
+def _pool_blocks(
+    panels: np.ndarray, weights: np.ndarray, dt: np.ndarray, lag: int, rs: float,
+    delta0: float,
+) -> np.ndarray:
+    """The pools of the windows of some blocks of :func:`juvenile_pool`: per
+    block (a row), its ``width - 1`` panels of r_star/R, its ``width``
+    weights and the steps of its windows."""
+    n_blocks, block = dt.shape
+    width = block + lag
+    h = dt[:, :1]
+    rate = delta0 * h
     # c summed outwards from the block's first "now", to keep its rounding
     # small on the samples that weigh most
     c = np.zeros((n_blocks, width))
-    panels = windows(panel, width - 1)[::block]
     np.cumsum(panels[:, lag:], axis=1, out=c[:, lag + 1:])
     np.cumsum(panels[:, lag - 1::-1], axis=1, out=c[:, lag - 1::-1])
     c[:, :lag] *= -1.0
     g = np.exp(rate * c)
-    g *= windows(weight, width)[::block]
+    g *= weights
     c_now = c[:, lag:]
 
     def window_sums(x):
@@ -341,9 +368,8 @@ def juvenile_pool(
 
     total = window_sums(g)
     moment = window_sums(c * g)  # sum of c_i g_i
-    out = rs * dt * np.exp(-rate * c_now) * (
-        total - params.delta0 * (dt - h) * (c_now * total - moment))
-    return out.ravel()[:n_out]
+    return rs * dt * np.exp(-rate * c_now) * (
+        total - delta0 * (dt - h) * (c_now * total - moment))
 
 
 def conservation_value(

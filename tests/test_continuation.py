@@ -422,6 +422,42 @@ class TestFindStart:
         assert math.log10(start.n_total) == pytest.approx(0.50, abs=0.02)
         assert start.omega > 0
 
+    @pytest.mark.parametrize("name", ["fig4-l0.159-dd", "fig2-right"])
+    def test_log_solve_lands_where_a_linear_solve_does(self, name):
+        # the solve in ln n_total stops at the same relative width as one in
+        # n_total, so the polish lands on the same point of the locus
+        cfg = build_config(preset_values(name), None, {})
+        params, tr = cfg.params, cfg.trace
+        opts = TraceOptions(nt_min=tr.nt_min, nt_max=tr.nt_max, corrector_tol=tr.corrector_tol)
+        m_scale = continuation._m_scale(params)
+        for m in tr.m_seeds:
+            nt2 = equilibria.compute_nt2(replace(params, m=m))
+            bracket = (max(tr.nt_min, nt2 * 1.001), tr.nt_max)
+            got = continuation.find_start(params, m, bracket, grid_n=tr.grid_n, opts=opts)
+            want = _linear_start(params, m, bracket, tr.grid_n, opts)
+            x_got = continuation._pack(got.as_array(), m_scale)
+            assert np.linalg.norm(x_got - want) <= 10 * opts.corrector_tol
+
+
+def _linear_start(params, m, bracket, grid_n, opts):
+    """The scaled start point of a root solve linear in n_total, to
+    BISECT_RTOL relative, on the unwindowed verdict, polished at fixed m by
+    the stepping corrector."""
+    def solved(nt):
+        p = replace(params, m=m, n_total=nt)
+        eq = equilibria.solve_e2(p)
+        return eq, linearize.build_linearization(eq, p)
+
+    def verdict(nt):
+        return linearize.rightmost_real_part(solved(nt)[1], grid_n=grid_n)
+
+    nt = equilibria.brentq(verdict, *bracket, xtol=1e-300, rtol=continuation.BISECT_RTOL)
+    eq, lin = solved(nt)
+    omega = abs(linearize._rightmost_root(lin, None, grid_n).imag)
+    m_scale = continuation._m_scale(params)
+    x0 = continuation._pack(np.array([eq.n_star, eq.p_star, eq.z_star, m, nt, omega]), m_scale)
+    return continuation._newton_corrector(x0, x0, np.eye(6)[3], params, m_scale, opts)[0]
+
 
 class TestTraceCurve:
     def test_points_satisfy_residual_and_domain(self, loop_family):
@@ -551,6 +587,19 @@ class TestTraceCurve:
         params, start = loop_family
         with pytest.raises(DomainError, match="too large"):
             continuation.trace_curve(replace(start, omega=math.nan), params)
+
+    @pytest.mark.parametrize("name", ["fig4-l0.159-dd", "fig2-right"])
+    def test_preset_chords_stay_near_the_step_bound(self, name, tmp_path):
+        # an unbounded corrector jumped along these loci by up to 0.57,
+        # skipping stretches of them
+        assert cli.main(["trace-boundary", "--preset", name, "--out", str(tmp_path)]) == 0
+        m_scale = continuation._m_scale(_preset_params(name))
+        data = np.genfromtxt(tmp_path / "curves.csv", delimiter=",", names=True)
+        for cid in np.unique(data["curve_id"]):
+            pts = data[data["curve_id"] == cid]
+            # the coordinates lies_on_curve compares
+            line = np.column_stack([pts["m"] / m_scale, np.log10(pts["n_total"]), pts["omega"]])
+            assert np.linalg.norm(np.diff(line, axis=0), axis=1).max() <= 1.1 * continuation.H_MAX
 
 
 class TestDomainTest:

@@ -1,11 +1,13 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tde_plankton import equilibria, model, simulate
+from tde_plankton import cli, equilibria, model, simulate
 from tde_plankton.exceptions import (
     DomainError,
     InsufficientHistoryError,
@@ -297,7 +299,7 @@ class TestJuvenilePool:
         np.testing.assert_allclose(pool, _pool_loop(t, pp, z, 40, p), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("delta0", [0.17, 30.0])
-    def test_wide_discount_ranges_match_a_loop(self, table1, delta0):
+    def test_wide_discount_ranges_match_a_loop(self, table1, delta0, monkeypatch):
         # m = 19.7 at delta0 = 0.17 is the coexistence ceiling, the widest
         # discount of the runs; at delta0 = 30 the discount over a delay,
         # more than exp(-delta0*m) as R < 1, passes POOL_EXP_SPAN, so the
@@ -308,6 +310,46 @@ class TestJuvenilePool:
         t, pp, z = self._random_series(p, lag, 3 * lag, 9)
         pool = model.juvenile_pool(t, pp, z, lag, p)
         np.testing.assert_allclose(pool, _pool_loop(t, pp, z, lag, p), rtol=1e-13, atol=0)
+        # one block per group gives the same floats
+        monkeypatch.setattr(model, "POOL_GROUP_ENTRIES", 1)
+        assert model.juvenile_pool(t, pp, z, lag, p).tobytes() == pool.tobytes()
+
+    #: Bound on the traced peak of one pool call: a few temporaries of one
+    #: group of POOL_GROUP_ENTRIES float64 entries, whatever the rows and lag.
+    POOL_PEAK_BOUND = 8 * 8 * model.POOL_GROUP_ENTRIES
+
+    @staticmethod
+    def _traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_extinction_run_pool_memory_is_bounded(self, tmp_path, monkeypatch):
+        # as P collapses 1/R grows, the blocks shrink to a few windows, and
+        # each still spans the lag of 20,000 samples
+        calls = []
+        pool = model.juvenile_pool
+
+        def traced(*args):
+            calls.append((args[3], self._traced_peak(pool, *args)))
+            return pool(*args)
+
+        monkeypatch.setattr(model, "juvenile_pool", traced)
+        assert cli.main(["simulate", "--preset", "extinction", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "metadata.json").read_text())["termination"] == "extinction"
+        assert [lag for lag, _ in calls] == [20_000, 20_000]
+        assert max(peak for _, peak in calls) <= self.POOL_PEAK_BOUND
+
+    def test_long_lag_pool_memory_is_bounded(self):
+        # a lag of 80,000 samples with P falling a decade per 8,000 steps
+        p = equilibria.resolve_r_star(ModelParams(delta0=0.3, l=0.159, m=6.0, n_total=3.0))
+        lag, n_out = 80_000, 100
+        t, _, _ = self._random_series(p, lag, lag + n_out, 0)
+        pp, z = np.geomspace(0.3, 1e-7, t.size), np.full(t.size, 1e-3)
+        assert self._traced_peak(model.juvenile_pool, t, pp, z, lag, p) <= self.POOL_PEAK_BOUND
 
 
 class TestConservationValue:

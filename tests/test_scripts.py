@@ -52,5 +52,5 @@ def test_readme_library_quick_start(capsys):
 def test_time_layers_one_round(capsys):
     script = _load("time_layers")
     times = script.run(repeats=1)
-    assert len(times) == 14 and all(0 < t < float("inf") for t in times.values())
-    assert capsys.readouterr().out.count(" us\n") == 14
+    assert len(times) == 15 and all(0 < t < float("inf") for t in times.values())
+    assert capsys.readouterr().out.count(" us\n") == 15
