@@ -8,7 +8,11 @@ finite-difference Jacobian, one Newton corrector step, the root scan at
 grid 256 and 512, one stability verdict (``rightmost_real_part``) at grid
 512, the scan's dedupe of its accepted iterates, the coexistence solve,
 char_fn on one scalar and on 512 imaginary-axis seeds, and one start search
-(``find_start``) at the preset's m = 6 seed, its root scans included.  On
+(``find_start``) at the preset's m = 6 seed, its root scans included.  The
+Newton sweep (``_newton_batch``) on the 576 seeds of a grid-512 scan at the
+coexistence state m = 6, l = 0.159, n_total = 3, once with delta0 = 0 (its
+seeds at the structural zero root keep the kernel's series branch busy) and
+once with delta0 = 0.17.  On
 fig6-stable with 200 panels per delay: one ``integrate`` step, from a run
 of two delays, and
 ``juvenile_pool`` over the delay windows of that run; then ``juvenile_pool``
@@ -18,14 +22,17 @@ imports the command-line entry point, start-up included.
 
 Each line is the minimum over ``--repeats`` rounds of the mean time per
 call (per step for ``integrate``) in a round (plain ``time.perf_counter``),
-in microseconds.  Run from the repository root with the package importable,
-e.g.
+in microseconds.  ``--json PATH`` also writes them to PATH, with the CPU
+count, the Python and numpy versions and the line count of the package
+timed.  Run from the repository root with the package importable, e.g.
 
-    PYTHONPATH=src python3 scripts/time_layers.py --repeats 50
+    PYTHONPATH=src python3 scripts/time_layers.py --repeats 50 --json layers.json
 """
 
 import argparse
+import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -42,6 +49,9 @@ from tde_plankton.presets import preset_values
 BOUNDARY_POINT = (0.6595510534361235, 0.236286571992287, 0.41112209023762486,
                   6.0, 3.1606793698568847, 0.8443190121567277)
 
+
+#: (m, l, n_total) of the two Newton sweep layers, timed at delta0 0 and 0.17.
+SWEEP_POINT = (6.0, 0.159, 3.0)
 
 #: Steps per delay, and delays per run, of the timed integrate layer.
 PANELS, DELAYS = 200, 2
@@ -61,6 +71,17 @@ def _fig6_run(panels, steps):
                    for k in ("t_hat", "p", "z"))
     return (lambda: simulate.integrate(buf, steps * dt),
             lambda: model.juvenile_pool(t_hat, p, z, panels, params))
+
+
+def _sweep(delta0):
+    """Newton sweep of a grid-512 scan's seeds at SWEEP_POINT and delta0."""
+    m, el, n_total = SWEEP_POINT
+    params = model.ModelParams(m=m, l=el, n_total=n_total, delta0=delta0)
+    lin = linearize.build_linearization(equilibria.solve_e2(params), params)
+    omega_max = linearize.default_omega_max(lin)
+    seeds = np.concatenate([1j * np.linspace(0.0, omega_max, 512),
+                            np.linspace(-omega_max, 0.25 * omega_max, 64)])
+    return lambda: linearize._newton_batch(seeds, lin)
 
 
 def _import_cli():
@@ -120,6 +141,8 @@ def _layers():
         ("char_fn 512 seeds", 100, lambda: linearize.char_fn(seeds, lin), 1),
         ("find_start", 1, lambda: continuation.find_start(
             params, m, bracket, grid_n=tr.grid_n, opts=seed_opts), 1),
+        ("_newton_batch grid 512 delta0 0", 2, _sweep(0.0), 1),
+        ("_newton_batch grid 512 delta0 0.17", 2, _sweep(0.17), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
         (f"juvenile_pool ({steps + 1} windows)", 5, pool, 1),
         (f"juvenile_pool ({LONG_STEPS + 1} windows)", 5, long_pool, 1),
@@ -139,13 +162,30 @@ def run(repeats: int = 50) -> dict[str, float]:
                 call()
             best = min(best, (time.perf_counter() - t0) / (number * units))
         times[name] = best * 1e6
-        print(f"{name:<32s} {best * 1e6:10.1f} us")
+        print(f"{name:<36s} {best * 1e6:10.1f} us")
     return times
 
 
-if __name__ == "__main__":
+def _package_lines() -> int:
+    """Lines in the source files of the package timed."""
+    files = Path(linearize.__file__).resolve().parent.glob("*.py")
+    return sum(len(f.read_text().splitlines()) for f in files)
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeats", type=int, default=50, help="rounds per layer (min is kept)")
-    run(ap.parse_args().repeats)
-    sys.exit(0)
+    ap.add_argument("--json", type=Path, metavar="PATH", help="also write the times here")
+    args = ap.parse_args(argv)
+    times = run(args.repeats)
+    if args.json is not None:
+        record = {"layers_us": times, "repeats": args.repeats, "cpu_count": os.cpu_count(),
+                  "python": platform.python_version(), "numpy": np.__version__,
+                  "src_lines": _package_lines()}
+        args.json.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

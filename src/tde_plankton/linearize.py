@@ -22,8 +22,10 @@ computed once in plain floats by :func:`linearization_entries`;
 :class:`LinearizationData`, keeps them in that record, which rebuilds its
 matrices from them on demand.  Roots come from grid-seeded Newton
 iteration, each pass taking value and exact derivative by Horner on Q, R
-and S over the seeds still moving (a seed stops on a step below tol
-relative to its new iterate, or a non-finite one); each scan is kept on its linearization.  An iterate is a root where |char_fn| <= tol*B with B finite:
+and S in place over the seeds still moving, the kernel's series only at
+those inside its switch circle (a seed stops once its step is not above tol
+relative to its new iterate); each scan is kept on its linearization.  An
+iterate is a root where |char_fn| <= tol*B with B finite:
 B is the Hadamard bound with each zooplankton-row entry taken as the sum of
 its terms' magnitudes, which stays away from zero where that row's delay
 factor vanishes (at the phytoplankton-only state the row is (0, 0, x2)).
@@ -93,9 +95,10 @@ class LinearizationData:
     (the state one delay ``t_delay`` ago) and ``a3`` (the history integral
     over the delay window); the matrices are rebuilt from it on each read.
     The reference growth rate is pinned to R(p_star) so the threshold-delay
-    and fixed-delay linearizations coincide.  ``char_poly`` is derived on
-    first use; ``scans`` holds this instance's root scans, and a
-    ``dataclasses.replace`` copy starts without either.
+    and fixed-delay linearizations coincide.  ``char_poly`` and
+    ``horner_terms`` are derived on first use; ``scans`` holds this
+    instance's root scans, and a ``dataclasses.replace`` copy starts
+    without any of them.
     """
 
     char_form: CharForm
@@ -108,6 +111,14 @@ class LinearizationData:
     @cached_property
     def char_poly(self) -> tuple[float, ...]:
         return _char_poly(self.char_form)
+
+    @cached_property
+    def horner_terms(self) -> tuple[np.ndarray, ...]:
+        """char_poly, 3, 2 q2, 2 r2, 2 w2 and t_delay as 0-d complex arrays,
+        which numpy applies faster than Python floats, to the same bits."""
+        p = self.char_poly
+        return tuple(np.array(c, dtype=complex)
+                     for c in (*p, 3.0, 2.0 * p[0], 2.0 * p[3], 2.0 * p[6], self.t_delay))
 
     @cached_property
     def scans(self) -> dict:  # grid_n -> RootScan
@@ -192,13 +203,19 @@ def _delay_terms(s: np.ndarray, big_t: float) -> tuple[np.ndarray, np.ndarray, n
     """exp(-s*T), K(s) and K'(s) at an array of points, the kernel switching to
     its power series across the removable zero.  Far-field seeds overflow
     exp(); callers mask the non-finite values and hold np.errstate."""
-    small = np.abs(s) * big_t < SERIES_SWITCH
     e = np.exp(-s * big_t)
-    kern = (1.0 - e) / s
-    dkern = (big_t * e - kern) / s
-    if small.any():
-        kern = np.where(small, big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0, kern)
-        dkern = np.where(small, -big_t**2 / 2.0 + s * big_t**3 / 3.0, dkern)
+    kern = 1.0 - e
+    kern /= s
+    dkern = big_t * e
+    dkern -= kern
+    dkern /= s
+    mag = np.abs(s)
+    # is any point inside the circle?  fmin skips the NaN that min would return
+    if np.fmin.reduce(mag, axis=None, initial=np.inf) * big_t < SERIES_SWITCH:
+        small = mag * big_t < SERIES_SWITCH
+        z = s[small]
+        kern[small] = big_t - z * big_t**2 / 2.0 + z**2 * big_t**3 / 6.0
+        dkern[small] = -big_t**2 / 2.0 + z * big_t**3 / 3.0
     return e, kern, dkern
 
 
@@ -292,16 +309,36 @@ def _char_poly(form: CharForm) -> tuple[float, ...]:
     return (q2 + u2, q1 + v2, q0, *along_row(b20, b21, b22), *along_row(c20, c21, c22))
 
 
+def _horner(t, s, *coeffs):
+    """(((t + c0) s + c1) s + ...) in place in t, which holds the leading term."""
+    t += coeffs[0]
+    for c in coeffs[1:]:
+        t *= s
+        t += c
+    return t
+
+
 def _char_newton(s: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray, np.ndarray]:
     """char_fn and its exact derivative at an array of points, by Horner on
-    Q, R and S; non-finite where exp(-s*T) overflows (callers hold np.errstate)."""
-    q2, q1, q0, r2, r1, r0, w2, w1, w0 = lin.char_poly
+    Q, R and S; non-finite where exp(-s*T) overflows (callers hold np.errstate).
+    Runs in place, each product keeping its operands in the order of
+    f = Q - e R - K S and f' = Q' - e (R' - T R) - K' S - K S': complex
+    products are not bitwise commutative."""
+    q2, q1, q0, r2, r1, r0, w2, w1, w0, three, q2x2, r2x2, w2x2, big_t = lin.horner_terms
     e, kern, dkern = _delay_terms(s, lin.t_delay)
-    r = (r2 * s + r1) * s + r0
-    w = (w2 * s + w1) * s + w0
-    f = ((s + q2) * s + q1) * s + q0 - e * r - kern * w
-    df = ((3.0 * s + 2.0 * q2) * s + q1 - e * ((2.0 * r2) * s + r1 - lin.t_delay * r)
-          - dkern * w - kern * ((2.0 * w2) * s + w1))
+    mul = np.multiply
+    r = _horner(mul(r2, s), s, r1, r0)
+    w = _horner(mul(w2, s), s, w1, w0)
+    f = _horner(s.copy(), s, q2, q1, q0)
+    t = mul(e, r)
+    f -= t
+    f -= mul(kern, w, out=t)
+    df = _horner(mul(three, s), s, q2x2, q1)
+    _horner(mul(r2x2, s, out=t), s, r1)
+    t -= mul(big_t, r, out=r)
+    df -= mul(e, t, out=t)
+    df -= mul(dkern, w, out=t)
+    df -= mul(kern, _horner(mul(w2x2, s, out=w), s, w1), out=w)
     return f, df
 
 
@@ -325,9 +362,9 @@ def _newton_batch(seeds: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray
             f, df = _char_newton(x, lin)
             step = f / df
             x_new = x - step
-            finite = np.isfinite(step)
-            s[moving] = np.where(finite, x_new, x)
-            go = finite & (np.abs(step) > NEWTON_TOL * np.abs(x_new))
+            s[moving] = np.where(np.isfinite(step), x_new, x)
+            # a non-finite step fails this test too
+            go = np.abs(step) > NEWTON_TOL * np.abs(x_new)
             moving, x = moving[go], x_new[go]
     f = char_fn(s, lin)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

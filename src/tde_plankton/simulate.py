@@ -229,6 +229,9 @@ def integrate(
     p_floor = EXTINCTION_FLOOR_FRAC * params.n_total
     lag = buf.n_delay_panels
     rs = params.r_star
+    # the remedy for a step that leaves the positive domain: run.dt_hat must
+    # divide T, so a finer step means more steps per delay
+    finer = f"raise run.dt_panels (now {lag} steps per delay)" if lag else "reduce run.dt_hat"
 
     # the history window, then the steps and a spare row for a floor crossing
     size = lag + n_steps + 2
@@ -267,9 +270,7 @@ def integrate(
             ))
             break
         if pn < 0:
-            raise DomainError(
-                "predictor left the positive domain; reduce dt_hat"
-            )
+            raise DomainError(f"predictor left the positive domain; {finer}")
 
         # lag over the predicted window: add the new panel, drop the oldest;
         # a predictor below the rate floor ends the run in stage two's _rhs
@@ -301,11 +302,9 @@ def integrate(
             if z_new > -1e-12 * params.n_total:
                 z_new = 0.0  # roundoff in the collapsed tail
             else:
-                raise DomainError(
-                    "corrected step drove zooplankton negative; reduce dt_hat"
-                )
+                raise DomainError(f"corrected step drove zooplankton negative; {finer}")
         if n_new <= 0:
-            raise DomainError("corrected step drove nutrient nonpositive; reduce dt_hat")
+            raise DomainError(f"corrected step drove nutrient nonpositive; {finer}")
         r_new = model._r(p_new, params)
         if r_new < params.r_floor:
             raise SingularRateError("growth rate below floor at a new sample")

@@ -161,6 +161,17 @@ class TestExitCodes:
         md = json.loads((tmp_path / "metadata.json").read_text())
         assert md["termination"] == "singular_rate"
 
+    def test_too_coarse_step_exits_1_naming_dt_panels(self, tmp_path, capsys):
+        # a larger juvenile mortality drives the nutrient nonpositive at the
+        # preset's 20,000 steps per delay; run.dt_hat must divide the delay,
+        # so the remedy named is the panel count
+        code = run_cli(["simulate", "--preset", "extinction", "--out", str(tmp_path),
+                        "--set", "model.delta0=0.3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "nutrient nonpositive; raise run.dt_panels (now 20000 steps per delay)" in err
+        assert "reduce" not in err
+
     def test_failing_check_exits_3(self, tmp_path, monkeypatch):
         flip_delayed_row(monkeypatch)
         code = run_cli([

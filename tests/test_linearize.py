@@ -692,6 +692,72 @@ class TestElementIndependence:
                 assert_bitwise_equal(part, whole[keep])
 
 
+def allocating_delay_terms(s, big_t):
+    """The kernel before it ran in place: full-size series temporaries,
+    picked by np.where wherever any point lies inside the switch circle."""
+    small = np.abs(s) * big_t < linearize.SERIES_SWITCH
+    e = np.exp(-s * big_t)
+    kern = (1.0 - e) / s
+    dkern = (big_t * e - kern) / s
+    if small.any():
+        kern = np.where(small, big_t - s * big_t**2 / 2.0 + s**2 * big_t**3 / 6.0, kern)
+        dkern = np.where(small, -big_t**2 / 2.0 + s * big_t**3 / 3.0, dkern)
+    return e, kern, dkern
+
+
+def allocating_char_newton(s, lin):
+    """char_fn and its derivative by Horner on Python-float coefficients,
+    each operation allocating its result."""
+    q2, q1, q0, r2, r1, r0, w2, w1, w0 = lin.char_poly
+    e, kern, dkern = allocating_delay_terms(s, lin.t_delay)
+    r = (r2 * s + r1) * s + r0
+    w = (w2 * s + w1) * s + w0
+    f = ((s + q2) * s + q1) * s + q0 - e * r - kern * w
+    df = ((3.0 * s + 2.0 * q2) * s + q1 - e * ((2.0 * r2) * s + r1 - lin.t_delay * r)
+          - dkern * w - kern * ((2.0 * w2) * s + w1))
+    return f, df
+
+
+class TestInPlaceKernel:
+    """The in-place kernel is the allocating one it replaced, bit for bit:
+    every Newton iterate, root and verdict rests on that."""
+
+    @staticmethod
+    def assert_matches(s, lin):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for got, want in zip(linearize._delay_terms(s, lin.t_delay),
+                                 allocating_delay_terms(s, lin.t_delay)):
+                assert_bitwise_equal(got, want)
+            for got, want in zip(linearize._char_newton(s, lin), allocating_char_newton(s, lin)):
+                assert_bitwise_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lin=sweep_lin(), pick=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 0.5, 3.0, 1e3, 1e5]))
+    def test_matches_the_allocating_kernel(self, lin, pick, scale):
+        # odd_seeds holds the origin, both sides of the switch circle and
+        # far-field seeds; the perturbation is in units of the circle radius
+        rng = np.random.default_rng(pick)
+        seeds = np.concatenate([scan_seeds(lin, 512), odd_seeds(lin)])
+        radius = linearize.SERIES_SWITCH / lin.t_delay
+        moved = seeds + scale * radius * (rng.normal(size=seeds.size)
+                                          + 1j * rng.normal(size=seeds.size))
+        s = np.concatenate([moved, odd_seeds(lin)])
+        assert (np.abs(s) * lin.t_delay < linearize.SERIES_SWITCH).any()
+        self.assert_matches(s, lin)
+        # a working set with no seed inside the circle skips the series branch
+        outside = scan_seeds(lin, 512)[1:]
+        assert not (np.abs(outside) * lin.t_delay < linearize.SERIES_SWITCH).any()
+        self.assert_matches(outside, lin)
+
+    @pytest.mark.parametrize("seeds", [[], [complex(math.nan, math.nan)] * 3,
+                                       [complex(math.nan, 0.0), 0j], [0j, 0j]],
+                             ids=["empty", "all-nan", "nan-and-zero", "zeros"])
+    def test_edge_arrays(self, table1, seeds):
+        _, _, lin = e2_lin(table1)
+        self.assert_matches(np.array(seeds, dtype=complex), lin)
+
+
 def tau_frechet_check(
     p_star: float,
     perturbation,

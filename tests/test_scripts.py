@@ -52,5 +52,20 @@ def test_readme_library_quick_start(capsys):
 def test_time_layers_one_round(capsys):
     script = _load("time_layers")
     times = script.run(repeats=1)
-    assert len(times) == 15 and all(0 < t < float("inf") for t in times.values())
-    assert capsys.readouterr().out.count(" us\n") == 15
+    assert len(times) == 17 and all(0 < t < float("inf") for t in times.values())
+    assert capsys.readouterr().out.count(" us\n") == 17
+
+
+def test_time_layers_writes_json(tmp_path, capsys):
+    script = _load("time_layers")
+    path = tmp_path / "layers.json"
+    assert script.main(["--repeats", "1", "--json", str(path)]) == 0
+    record = json.loads(path.read_text())
+    printed = [line.rsplit(None, 2)[0] for line in capsys.readouterr().out.splitlines()]
+    assert list(record["layers_us"]) == printed
+    assert all(0 < t < float("inf") for t in record["layers_us"].values())
+    assert {"_newton_batch grid 512 delta0 0", "_newton_batch grid 512 delta0 0.17"} <= set(printed)
+    assert record["repeats"] == 1 and record["cpu_count"] >= 1
+    assert record["python"].count(".") == 2 and record["numpy"]
+    src = SCRIPTS.parent / "src" / "tde_plankton"
+    assert record["src_lines"] == sum(len(f.read_text().splitlines()) for f in src.glob("*.py"))
