@@ -7,18 +7,23 @@ simulation on its own.  At the fig4-l0.159-dd boundary point m = 6
 finite-difference Jacobian, one Newton corrector step, the root scan at
 grid 256 and 512, one stability verdict (``rightmost_real_part``) at grid
 512, the scan's dedupe of its accepted iterates, the coexistence solve,
-char_fn on one scalar and on 512 imaginary-axis seeds, and one start search
-(``find_start``) at the preset's m = 6 seed, its root scans included.  The
+char_fn on one scalar and on 512 imaginary-axis seeds, one start search
+(``find_start``) at the preset's m = 6 seed, its root scans included, and
+``deduplicate_curves`` on the curve traced from that start and a copy of
+it (the copy is merged away).  The
 Newton sweep (``_newton_batch``) on the 576 seeds of a grid-512 scan at the
 coexistence state m = 6, l = 0.159, n_total = 3, once with delta0 = 0 (its
 seeds at the structural zero root keep the kernel's series branch busy) and
 once with delta0 = 0.17.  On
 fig6-stable with 200 panels per delay: one ``integrate`` step, from a run
-of two delays, and
-``juvenile_pool`` over the delay windows of that run; then ``juvenile_pool``
-over the 6,000 windows of a run at 400 panels per delay, the size of a
-sim-fig6 benchmark task.  Last, ``cli import``: a fresh interpreter that
-imports the command-line entry point, start-up included.
+of two delays, ``dde_rhs`` at that run's last state and the state one delay
+before it, and ``juvenile_pool`` over the delay windows of that run.  On a
+run of 6,000 steps at 400 panels per delay, the size of a sim-fig6
+benchmark task: ``juvenile_pool`` over its windows, ``tde_residual`` of the
+run, and the CLI's CSV writer (``_write_csv``) on the first 6,000 rows of
+its seven trajectory columns, written to the null device.  Last, ``cli
+import``: a fresh interpreter that imports the command-line entry point,
+start-up included.
 
 Each line is the minimum over ``--repeats`` rounds of the mean time per
 call (per step for ``integrate``) in a round (plain ``time.perf_counter``),
@@ -41,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tde_plankton import continuation, equilibria, linearize, model, simulate
+from tde_plankton import cli, continuation, equilibria, linearize, model, simulate
 from tde_plankton.config import build_config
 from tde_plankton.presets import preset_values
 
@@ -60,8 +65,9 @@ LONG_PANELS, LONG_STEPS = 400, 6000
 
 
 def _fig6_run(panels, steps):
-    """(a run of ``integrate`` on fig6-stable from one initial history, and
-    ``juvenile_pool`` over the windows of that run)."""
+    """(a run of ``integrate`` on fig6-stable from one initial history,
+    ``juvenile_pool`` over the windows of that run, and the run's
+    trajectory)."""
     params = equilibria.resolve_r_star(
         build_config(preset_values("fig6-stable"), None, {}).params)
     dt = params.m / params.r_star / panels
@@ -70,7 +76,7 @@ def _fig6_run(panels, steps):
     t_hat, p, z = (np.concatenate([getattr(buf, k)[:-1], getattr(traj, k)])
                    for k in ("t_hat", "p", "z"))
     return (lambda: simulate.integrate(buf, steps * dt),
-            lambda: model.juvenile_pool(t_hat, p, z, panels, params))
+            lambda: model.juvenile_pool(t_hat, p, z, panels, params), traj)
 
 
 def _sweep(delta0):
@@ -122,9 +128,15 @@ def _layers():
     def scan(grid_n):
         return lambda: linearize.scan_roots(replace(lin), grid_n=grid_n)
 
+    start = continuation.find_start(params, m, bracket, grid_n=tr.grid_n, opts=seed_opts)
+    twice = [continuation.trace_curve(start, params, seed_opts)] * 2
+
     steps = PANELS * DELAYS
-    run_steps, pool = _fig6_run(PANELS, steps)
-    long_pool = _fig6_run(LONG_PANELS, LONG_STEPS)[1]
+    run_steps, pool, traj = _fig6_run(PANELS, steps)
+    now, before = (model.StateNPZ(traj.n[i], traj.p[i], traj.z[i]) for i in (-1, -1 - PANELS))
+    _, long_pool, long_traj = _fig6_run(LONG_PANELS, LONG_STEPS)
+    fields = ["t_hat", "t", "n", "p", "z", "tau_m", "cons_residual"]
+    columns = [getattr(long_traj, f)[:LONG_STEPS] for f in fields]
     xl = x.tolist()
     return [
         ("_residual", 200, lambda: continuation._residual(xl, params, m_scale), 1),
@@ -141,11 +153,17 @@ def _layers():
         ("char_fn 512 seeds", 100, lambda: linearize.char_fn(seeds, lin), 1),
         ("find_start", 1, lambda: continuation.find_start(
             params, m, bracket, grid_n=tr.grid_n, opts=seed_opts), 1),
+        ("deduplicate_curves (2 curves)", 5,
+         lambda: continuation.deduplicate_curves(twice, params), 1),
         ("_newton_batch grid 512 delta0 0", 2, _sweep(0.0), 1),
         ("_newton_batch grid 512 delta0 0.17", 2, _sweep(0.17), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
+        ("dde_rhs", 500, lambda: model.dde_rhs(now, before, traj.tau_m[-1], traj.params), 1),
         (f"juvenile_pool ({steps + 1} windows)", 5, pool, 1),
         (f"juvenile_pool ({LONG_STEPS + 1} windows)", 5, long_pool, 1),
+        (f"tde_residual ({len(long_traj)} rows)", 1, lambda: simulate.tde_residual(long_traj), 1),
+        (f"_write_csv trajectory ({LONG_STEPS} x {len(fields)})", 2,
+         lambda: cli._write_csv(Path(os.devnull), fields, columns), 1),
         ("cli import", 1, _import_cli, 1),
     ]
 

@@ -2,8 +2,12 @@
 
 Every run writes its fully resolved configuration (``resolved.cfg``) next to
 its outputs, so any artifact can be reproduced exactly with
-``--config <outdir>/resolved.cfg``.  CSV files carry full-precision
-scientific notation; identical configurations produce byte-identical files.
+``--config <outdir>/resolved.cfg``.  CSV files write a float as ``%.16e``:
+17 significant digits, correctly rounded (half to even), with ``nan``,
+``inf`` and ``-inf`` as Python prints them; other values as ``str``.  The
+column-wise writer formats floats in numpy blocks, and its bytes are the
+ones a per-value ``'%.16e' % v`` gives.  Identical configurations produce
+byte-identical files.
 
 Exit codes: 0 success (including a clean extinction), 1 runtime failure,
 2 invalid configuration, 3 check-suite failure.  Boundary curves are
@@ -18,6 +22,7 @@ curve's metadata records why its forward and its backward half stopped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,7 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, continuation, equilibria, simulate
-from .config import RunConfig, build_config, dump_flat, parse_flat_text
+from .config import (
+    RunConfig, build_config, dump_flat, parse_flat_text, rho_file_name, sweep_file_name,
+)
 from .continuation import TraceOptions
 from .exceptions import (
     ConfigError,
@@ -45,13 +52,136 @@ EXIT_CONFIG = 2
 EXIT_CHECKS = 3
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Floats as ``%.16e``, the rest as ``str``; each column holds one type."""
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        if rows:
-            fmt = ",".join("%.16e" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
-            fh.writelines(fmt % tuple(row) for row in rows)
+#: Rows per block of the CSV writer: its transient buffers stay under 1 MiB
+#: for seven float columns.
+CSV_BLOCK_ROWS = 512
+#: Decimal exponents the ``%.16e`` kernel formats itself (|x| in
+#: [1e-250, 1e250] and one below); others take Python's own formatting.
+_E_LO, _E_HI = -251, 250
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+@functools.cache
+def _e16_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of ``_format_e16``, built on its first call.
+
+    A formatted value is seven little-endian 4-byte words, NUL-padded (the
+    writer drops every NUL): [NUL, sign or NUL, lead digit, '.'], four words
+    of four digits, ['e', exponent sign, hundreds digit or NUL, tens
+    digit], [ones digit, NUL x 3]; the writer puts the separator in byte
+    25.  The tables: row ``_E_HI - e`` of ``pow10`` is (hi, hi's Veltkamp
+    halves, lo) with hi + lo = 10**(16 - e) within about 2**-106 relative,
+    from Python ints (whose int/int division rounds correctly); the word of
+    each 4-digit group; the first word by [sign, lead digit]; and the last
+    two words by exponent, from ``_E_LO``.
+    """
+    rows = []
+    for k in range(16 - _E_HI, 17 - _E_LO):
+        if k >= 0:
+            hi = float(10 ** k)
+            lo = float(10 ** k - int(hi))
+        else:
+            den = 10 ** -k
+            hi = 1 / den
+            num, two_pow = hi.as_integer_ratio()
+            lo = (two_pow - num * den) / (two_pow * den)
+        c = _VELTKAMP * hi
+        hi_hi = c - (c - hi)
+        rows.append((hi, hi_hi, hi - hi_hi, lo))
+    digits = np.empty((10, 10, 10, 10, 4), np.uint8)  # digit k of i at [*digits of i, k]
+    for k in range(4):
+        digits[..., k] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - k))
+    head = b"".join(b"\0" + sign + b"%d." % d for sign in (b"\0", b"-") for d in range(10))
+    exponents = b"".join(
+        b"e" + s[:1] + s[1:].rjust(3, b"\0") + b"\0\0\0"
+        for s in (b"%+03d" % e for e in range(_E_LO, _E_HI + 1)))
+    return (np.array(rows), digits.view("<u4").ravel(),
+            np.frombuffer(head, "<u4").reshape(2, 10),
+            np.frombuffer(exponents, "<u4").reshape(-1, 2))
+
+
+def _format_e16(x: np.ndarray) -> np.ndarray:
+    """``'%.16e' % v`` for every float64 ``v`` of ``x``, as the words of
+    ``_e16_tables`` (shape ``x.shape + (7,)``), byte for byte what Python
+    prints.
+
+    A certified fast path with an exact fallback (Grisu3; Loitsch, PLDI
+    2010): with e = floor(log10|v|), y = |v| * 10**(16 - e) is formed as a
+    double-double by a Dekker two-product against the table, within about
+    2**-104 relative, i.e. far below 1e-6 absolute.  The 17 digits are
+    floor(y) rounded up when its fraction exceeds 1/2.  A value goes to
+    Python when that decision is not certain (fraction within 1e-6 of 1/2:
+    ties round half-even there), when e was off by one (floor(y) < 10**16,
+    or the rounded digits reach 10**17), and when |v| lies outside [1e-250,
+    1e250] or v is 0, nan or inf.
+    """
+    pow10, digits4, head, exponents = _e16_tables()
+    flat = x.ravel()
+    a = np.abs(flat)
+    fallback = ~((a >= 1e-250) & (a <= 1e250))
+    a[fallback] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, hi_hi, hi_lo, lo = pow10[_E_HI - e].T
+    c = a * _VELTKAMP
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    y = a * hi
+    err = a_hi * hi_hi - y  # y + err + a * lo = a * (hi + lo), to rounding
+    err += a_hi * hi_lo
+    err += a_lo * hi_hi
+    err += a_lo * hi_lo
+    err += a * lo
+    y_hi = y + err
+    y_lo = (y - y_hi) + err  # y_hi is an integer once y >= 2**53
+    whole = np.floor(y_lo)
+    frac = y_lo - whole
+    digits = y_hi.astype(np.int64) + whole.astype(np.int64)
+    fallback |= digits < 10 ** 16
+    digits += frac > 0.5
+    fallback |= np.abs(frac - 0.5) < 1e-6
+    fallback |= digits >= 10 ** 17
+
+    words = np.empty((flat.size, 7), "<u4")
+    lead = digits // 10 ** 16
+    digits -= lead * 10 ** 16
+    words[:, 0] = head[(flat < 0).view(np.int8), np.minimum(lead, 9)]
+    for col, scale in ((1, 10 ** 12), (2, 10 ** 8), (3, 10 ** 4)):
+        group = digits // scale
+        words[:, col] = digits4[group]
+        digits -= group * scale
+    words[:, 4] = digits4[digits]
+    words[:, 5:] = exponents[e - _E_LO]
+    (slow,) = np.nonzero(fallback)
+    if slow.size:
+        text = [b"%.16e" % v for v in flat[slow].tolist()]
+        words[slow] = np.array(text, "S28").view("<u4").reshape(-1, 7)
+    return words.reshape(x.shape + (7,))
+
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """One line per row of ``columns`` (one per header name, of equal
+    length): float64 columns as ``%.16e``, any other through ``str``."""
+    columns = [np.asarray(c) for c in columns]
+    floats = [c.dtype == np.float64 for c in columns]
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    float_seps = np.array([ord(s) << 8 for s, f in zip(seps, floats) if f], "<u4")
+    rows = len(columns[0]) if columns else 0
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            n = len(block[0])
+            if float_seps.size:
+                words = _format_e16(np.stack([b for b, f in zip(block, floats) if f], axis=1))
+                words[:, :, 6] += float_seps  # byte 25 is NUL
+                formatted = iter(words.view(np.uint8).transpose(1, 0, 2))
+            fields = [
+                next(formatted) if f else
+                np.array([str(v).encode() + s for v in b.tolist()]).view(np.uint8).reshape(n, -1)
+                for b, f, s in zip(block, floats, seps)
+            ]
+            buf = np.concatenate(fields, axis=1)
+            fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
@@ -70,12 +200,9 @@ def cmd_equilibria(cfg: RunConfig, out_dir: Path) -> int:
     manifest = []
     for m in sweep.m_list:
         rows = equilibria.classify_and_sweep(replace(cfg.params, m=m), grid)
-        name = f"sweep_m{m:g}_d0{cfg.params.delta0:g}.csv"
-        _write_csv(
-            out_dir / name,
-            ["n_total", "kind", "n_star", "p_star", "z_star", "residual"],
-            [[r.n_total, r.kind, r.n_star, r.p_star, r.z_star, r.residual] for r in rows],
-        )
+        name = sweep_file_name(m, cfg.params.delta0)
+        fields = ["n_total", "kind", "n_star", "p_star", "z_star", "residual"]
+        _write_csv(out_dir / name, fields, [[getattr(r, f) for r in rows] for f in fields])
         manifest.append({"m": m, "delta0": cfg.params.delta0, "file": name, "rows": len(rows)})
     (out_dir / "manifest.json").write_text(
         json.dumps({"command": "equilibria", "outputs": manifest}, indent=2, sort_keys=True)
@@ -154,32 +281,26 @@ def cmd_trace_boundary(cfg: RunConfig, out_dir: Path) -> int:
             curves.append(continuation.trace_curve(start, params, opts))
     kept = continuation.deduplicate_curves(curves, params)
 
-    curve_rows, freq_rows, curve_meta = [], [], []
-    for cid, curve in enumerate(kept):
-        for idx, p in enumerate(curve.points):
-            res = continuation.point_residual(p, params)
-            curve_rows.append(
-                [cid, idx, p.m, p.n_total, p.omega, p.n_star, p.p_star, p.z_star, res]
-            )
-            freq_rows.append([cid, p.m, p.n_total, p.omega])
-        curve_meta.append({
+    points = [(cid, idx, p) for cid, c in enumerate(kept) for idx, p in enumerate(c.points)]
+    columns = {
+        "curve_id": [cid for cid, _, _ in points],
+        "point_index": [idx for _, idx, _ in points],
+        **{k: [getattr(p, k) for *_, p in points]
+           for k in ("m", "n_total", "omega", "n_star", "p_star", "z_star")},
+        "residual": [continuation.point_residual(p, params) for *_, p in points],
+    }
+    _write_csv(out_dir / "curves.csv", list(columns), list(columns.values()))
+    profile = ["curve_id", "m", "n_total", "omega"]
+    _write_csv(out_dir / "frequency_profile.csv", profile, [columns[k] for k in profile])
+    curve_meta = [
+        {
             "curve_id": cid,
             "points": len(curve.points),
             "termination_forward": curve.termination.value,
             "termination_backward": curve.termination_backward.value,
-        })
-
-    _write_csv(
-        out_dir / "curves.csv",
-        ["curve_id", "point_index", "m", "n_total", "omega",
-         "n_star", "p_star", "z_star", "residual"],
-        curve_rows,
-    )
-    _write_csv(
-        out_dir / "frequency_profile.csv",
-        ["curve_id", "m", "n_total", "omega"],
-        freq_rows,
-    )
+        }
+        for cid, curve in enumerate(kept)
+    ]
     (out_dir / "metadata.json").write_text(
         json.dumps(
             {
@@ -218,20 +339,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     traj = simulate.integrate(buf, sim_cfg.horizon_hat)
     freq = simulate.measure_frequency(traj)
 
-    columns = [traj.t_hat, traj.t, traj.n, traj.p, traj.z, traj.tau_m, traj.cons_residual]
-    _write_csv(
-        out_dir / "trajectory.csv",
-        ["t_hat", "t", "n", "p", "z", "tau_m", "cons_residual"],
-        np.column_stack(columns).tolist(),
-    )
+    fields = ["t_hat", "t", "n", "p", "z", "tau_m", "cons_residual"]
+    _write_csv(out_dir / "trajectory.csv", fields, [getattr(traj, f) for f in fields])
 
     rho_files = []
     for t_req in sim_cfg.rho_times:
         s_grid = np.linspace(0.0, params.m, sim_cfg.rho_s_panels + 1)
         rho = simulate.reconstruct_rho(traj, t_req, s_grid)
-        name = f"rho_t{t_req:g}.csv"
-        _write_csv(out_dir / name, ["s", "rho"],
-                   np.column_stack([s_grid, rho]).tolist())
+        name = rho_file_name(t_req)
+        _write_csv(out_dir / name, ["s", "rho"], [s_grid, rho])
         rho_files.append(name)
 
     (out_dir / "metadata.json").write_text(

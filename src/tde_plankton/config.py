@@ -105,6 +105,16 @@ SCHEMA: dict[str, tuple[Callable, str]] = {
 }
 
 
+def rho_file_name(t: float) -> str:
+    """Output file of the maturity spectrum at physical time ``t``."""
+    return f"rho_t{t:g}.csv"
+
+
+def sweep_file_name(m: float, delta0: float) -> str:
+    """Output file of the equilibrium sweep at maturity ``m``."""
+    return f"sweep_m{m:g}_d0{delta0:g}.csv"
+
+
 def parse_flat_text(text: str) -> dict[str, str]:
     """Read ``key = value`` lines; later occurrences win."""
     out: dict[str, str] = {}
@@ -208,14 +218,20 @@ def build_config(
     if not 0 < trace["nt_min"] < trace["nt_max"]:
         raise ConfigError("continuation biomass range must satisfy 0 < nt_min < nt_max")
     windows = trace["omega_windows"]
+    rho_times, m_list = run["rho_times"], sweep["m_list"]
     ranges = (
         ("run.dt_hat", run["dt_hat"] is None or run["dt_hat"] > 0, "positive or auto"),
         ("run.dt_panels", run["dt_panels"] >= 2, "at least 2"),
         ("run.horizon_hat", run["horizon_hat"] > 0, "positive"),
-        ("run.rho_times", all(t >= 0 for t in run["rho_times"]), "nonnegative"),
+        ("run.rho_times", all(t >= 0 for t in rho_times), "nonnegative"),
+        ("run.rho_times", len({rho_file_name(t) for t in rho_times}) == len(rho_times),
+         "distinct to 6 significant digits (each names an output file)"),
         ("run.rho_s_panels", run["rho_s_panels"] >= 1, "at least 1"),
         ("equilibria.nt_points", sweep["nt_points"] >= 0, "nonnegative"),
-        ("equilibria.m_list", all(m >= 0 for m in sweep["m_list"]), "nonnegative"),
+        ("equilibria.m_list", all(m >= 0 for m in m_list), "nonnegative"),
+        ("equilibria.m_list",
+         len({sweep_file_name(m, params.delta0) for m in m_list}) == len(m_list),
+         "distinct to 6 significant digits (each names an output file)"),
         ("continuation.m_seeds", all(m >= 0 for m in trace["m_seeds"]), "nonnegative"),
         ("continuation.omega_windows",
          isinstance(windows, str) or all(0 <= lo < hi for lo, hi in windows),

@@ -324,6 +324,11 @@ def _char_newton(s: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray, np.
     Runs in place, each product keeping its operands in the order of
     f = Q - e R - K S and f' = Q' - e (R' - T R) - K' S - K S': complex
     products are not bitwise commutative."""
+    if s.size == 1:
+        # numpy's in-place complex product on a single element runs another
+        # loop, which rounds differently from every longer array: pass a pair
+        f, df = _char_newton(np.repeat(s, 2), lin)
+        return f[:1], df[:1]
     q2, q1, q0, r2, r1, r0, w2, w1, w0, three, q2x2, r2x2, w2x2, big_t = lin.horner_terms
     e, kern, dkern = _delay_terms(s, lin.t_delay)
     mul = np.multiply

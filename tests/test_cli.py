@@ -2,12 +2,15 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tde_plankton import checks, cli, continuation, linearize, simulate
+from tde_plankton import checks, cli, continuation, equilibria, linearize, simulate
 from tde_plankton.config import SCHEMA, build_config, dump_flat, parse_flat_text
 from tde_plankton.exceptions import ConfigError, DomainError
 from tde_plankton.model import ModelParams
@@ -102,10 +105,14 @@ class TestExitCodes:
         "equilibria --set equilibria.nt_points=-1",
         "equilibria --set equilibria.m_list=2,nan",
         "equilibria --set equilibria.m_list=-1",
+        # both would write sweep_m1_d00.csv
+        "equilibria --set equilibria.m_list=1.0000001,1.0000002",
         "simulate --preset fig6-stable --set run.eps_p=nan",
         "simulate --set run.horizon_hat=nan",
         "simulate --set run.horizon_hat=-5",
         "simulate --set run.rho_times=-1",
+        # both would write rho_t20.csv
+        "simulate --set run.rho_times=20.0000001,20.0000002",
         "simulate --set run.rho_s_panels=0",
         "trace-boundary --set continuation.m_seeds=nan",
         "trace-boundary --set continuation.m_seeds=-1",
@@ -213,7 +220,7 @@ class TestWriteCsv:
             [3, "e0", 0.1, 1 / 3, -1.0, np.float64(math.nan), True],
         ]
         path = tmp_path / "mixed.csv"
-        cli._write_csv(path, list("abcdefg"), rows)
+        cli._write_csv(path, list("abcdefg"), list(zip(*rows)))
         # the per-value formatting the writer replaced
         expect = "a,b,c,d,e,f,g\n" + "".join(
             ",".join(f"{v:.16e}" if isinstance(v, float) else str(v) for v in row) + "\n"
@@ -223,8 +230,83 @@ class TestWriteCsv:
         assert "-0.0000000000000000e+00" in expect and "nan" in expect and "-inf" in expect
 
     def test_no_rows_writes_the_header(self, tmp_path):
-        cli._write_csv(tmp_path / "empty.csv", ["x", "y"], [])
+        cli._write_csv(tmp_path / "empty.csv", ["x", "y"], [[], []])
         assert (tmp_path / "empty.csv").read_text() == "x,y\n"
+
+    def test_trajectory_matches_the_row_wise_writer(self, tmp_path):
+        params = equilibria.resolve_r_star(
+            build_config(PRESETS["fig6-stable"]).params)
+        dt = params.m / params.r_star / 400
+        buf = simulate.build_initial(simulate.HistorySpec.at_equilibrium(1e-3, 1e-3), params, dt)
+        traj = simulate.integrate(buf, 6000 * dt)
+        fields = ["t_hat", "t", "n", "p", "z", "tau_m", "cons_residual"]
+        columns = [getattr(traj, f) for f in fields]
+        assert len(traj) > 6000 and 0.0 in traj.cons_residual
+        cli._write_csv(tmp_path / "trajectory.csv", fields, columns)
+        # the row-wise writer the column-wise one replaced
+        rows = np.column_stack(columns).tolist()
+        fmt = ",".join("%.16e" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
+        expect = ",".join(fields) + "\n" + "".join(fmt % tuple(row) for row in rows)
+        assert (tmp_path / "trajectory.csv").read_text() == expect
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # a fig7-size trajectory; the row-wise writer and its tolist took 22 MiB
+        rng = np.random.default_rng(7)
+        columns = [rng.standard_normal(68236) for _ in range(7)]
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "big.csv", list("abcdefg"), columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        # 22 characters a value, a minus sign more when negative, and a separator
+        negatives = sum(int((c < 0).sum()) for c in columns)
+        assert (tmp_path / "big.csv").stat().st_size == 14 + 68236 * 7 * 23 + negatives
+
+
+def _e16_texts(values):
+    """The kernel's text for each of ``values``, and Python's."""
+    x = np.array(values, dtype=np.float64)
+    words = cli._format_e16(x).view(np.uint8)
+    return [bytes(w[w != 0]).decode() for w in words], ["%.16e" % v for v in x.tolist()]
+
+
+class TestFormatE16:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=64))
+    def test_matches_python(self, values):
+        got, expect = _e16_texts(values)
+        assert got == expect
+
+    def test_adversarial_values(self):
+        rng = np.random.default_rng(23)
+        # exact ties at the 17th digit (k/4 for k in [2**52, 2**53)), then
+        # powers of ten with their neighbours, and values that round up to
+        # the next power of ten
+        ties = rng.integers(2 ** 52, 2 ** 53, 2000).astype(np.float64) / 4
+        tens = np.array([10.0 ** k for k in range(-323, 309)]
+                        + [float(f"1e{k}") for k in range(-323, 309)])
+        nines = np.array([float(f"9.9999999999999995e{k}") for k in range(-310, 308)])
+        near = [np.nextafter(v, np.inf) for v in (tens, nines)]
+        near += [np.nextafter(v, 0.0) for v in (tens, nines)]
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1e-250, 1e250, 0.5, 2.5,
+                   1 / 3, math.nan, math.inf, -math.inf]
+        values = np.concatenate([ties, -ties, tens, nines, *near, special])
+        got, expect = _e16_texts(values)
+        assert [i for i, (g, e) in enumerate(zip(got, expect)) if g != e] == []
+
+    def test_exponent_off_by_one_falls_back(self, monkeypatch):
+        # a log10 a few ulps off at a power of ten (vectorised libm variants
+        # may be) puts floor(log10|v|) one too high or one too low
+        values = 3.7 * 10.0 ** np.arange(-200.0, 201.0)
+        shift = np.resize([-1.0, 0.0, 1.0], values.size)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        got, expect = _e16_texts(values)
+        assert got == expect
 
 
 class TestEquilibriaCommand:

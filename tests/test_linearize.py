@@ -691,6 +691,17 @@ class TestElementIndependence:
                                    linearize._delay_terms(s[keep], lin.t_delay)):
                 assert_bitwise_equal(part, whole[keep])
 
+    def test_single_seed_pass_equals_its_element_of_the_whole_pass(self, table1):
+        # a working set shrinks to one seed; numpy multiplies one element in
+        # place by another loop than it uses for longer arrays
+        _, _, lin = e2_lin(table1)
+        s = np.concatenate([scan_seeds(lin, 64), odd_seeds(lin)])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            whole = linearize._char_newton(s, lin)
+            for i in range(s.size):
+                for w, part in zip(whole, linearize._char_newton(s[i:i + 1], lin)):
+                    assert_bitwise_equal(part, w[i:i + 1])
+
 
 def allocating_delay_terms(s, big_t):
     """The kernel before it ran in place: full-size series temporaries,
