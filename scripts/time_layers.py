@@ -13,8 +13,11 @@ char_fn on one scalar and on 512 imaginary-axis seeds, one start search
 it (the copy is merged away).  The
 Newton sweep (``_newton_batch``) on the 576 seeds of a grid-512 scan at the
 coexistence state m = 6, l = 0.159, n_total = 3, once with delta0 = 0 (its
-seeds at the structural zero root keep the kernel's series branch busy) and
-once with delta0 = 0.17.  On
+seeds at the structural zero root take the kernel's series branch) and
+once with delta0 = 0.17.  The root scan at grid 512 at the long-delay
+coexistence state LONG_DELAY_POINT (l = 1, delta0 = 0, m = 16,
+n_total = 2, T of about 460), where plain Newton moves a seed left of
+the axis by only about 1/T a pass.  On
 fig6-stable with 200 panels per delay: one ``integrate`` step, from a run
 of two delays, ``dde_rhs`` at that run's last state and the state one delay
 before it, and ``juvenile_pool`` over the delay windows of that run.  On a
@@ -58,6 +61,9 @@ BOUNDARY_POINT = (0.6595510534361235, 0.236286571992287, 0.41112209023762486,
 #: (m, l, n_total) of the two Newton sweep layers, timed at delta0 0 and 0.17.
 SWEEP_POINT = (6.0, 0.159, 3.0)
 
+#: (m, l, delta0, n_total) of the long-delay root scan layer.
+LONG_DELAY_POINT = (16.0, 1.0, 0.0, 2.0)
+
 #: Steps per delay, and delays per run, of the timed integrate layer.
 PANELS, DELAYS = 200, 2
 #: Steps per delay, and steps, of the long run for the second pool layer.
@@ -88,6 +94,14 @@ def _sweep(delta0):
     seeds = np.concatenate([1j * np.linspace(0.0, omega_max, 512),
                             np.linspace(-omega_max, 0.25 * omega_max, 64)])
     return lambda: linearize._newton_batch(seeds, lin)
+
+
+def _long_delay_scan():
+    """A grid-512 root scan at LONG_DELAY_POINT, on a fresh copy each call."""
+    m, el, delta0, n_total = LONG_DELAY_POINT
+    params = model.ModelParams(m=m, l=el, delta0=delta0, n_total=n_total)
+    lin = linearize.build_linearization(equilibria.solve_e2(params), params)
+    return lambda: linearize.scan_roots(replace(lin), grid_n=512)
 
 
 def _import_cli():
@@ -157,6 +171,7 @@ def _layers():
          lambda: continuation.deduplicate_curves(twice, params), 1),
         ("_newton_batch grid 512 delta0 0", 2, _sweep(0.0), 1),
         ("_newton_batch grid 512 delta0 0.17", 2, _sweep(0.17), 1),
+        ("scan_roots grid 512 long delay", 2, _long_delay_scan(), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
         ("dde_rhs", 500, lambda: model.dde_rhs(now, before, traj.tau_m[-1], traj.params), 1),
         (f"juvenile_pool ({steps + 1} windows)", 5, pool, 1),

@@ -24,7 +24,12 @@ matrices from them on demand.  Roots come from grid-seeded Newton
 iteration, each pass taking value and exact derivative by Horner on Q, R
 and S in place over the seeds still moving, the kernel's series only at
 those inside its switch circle (a seed stops once its step is not above tol
-relative to its new iterate); each scan is kept on its linearization.  An
+relative to the larger of its new iterate and ZERO_MODE_TOL); each scan is
+kept on its linearization.  Where the delay terms D = Q - char_fn outweigh
+Q by CRAWL_RATIO, Newton on char_fn crawls right by about 1/T a pass
+(Bellman & Cooke, Differential-Difference Equations, 1963, ch. 12), so
+such a seed takes the Newton step of log(Q/D), nearly linear there (where
+D'/D lies within T of -T).  An
 iterate is a root where |char_fn| <= tol*B with B finite:
 B is the Hadamard bound with each zooplankton-row entry taken as the sum of
 its terms' magnitudes, which stays away from zero where that row's delay
@@ -59,8 +64,14 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 
 #: Roots smaller than this (1/day) are treated as the structural zero mode of
-#: the conservation law when delta0 = 0 and excluded from stability verdicts.
+#: the conservation law when delta0 = 0 and excluded from stability verdicts;
+#: it is also the Newton stop rule's floor on |s|, so seeds converging to
+#: that root stop instead of hopping at rounding level.
 ZERO_MODE_TOL = 1e-6
+
+#: A Newton seed whose delay terms D exceed this multiple of the polynomial
+#: part Q of char_fn = Q - D takes the Newton step of log(Q/D) (the crawl).
+CRAWL_RATIO = 1e3
 
 
 class CharForm(NamedTuple):
@@ -318,45 +329,52 @@ def _horner(t, s, *coeffs):
     return t
 
 
-def _char_newton(s: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray, np.ndarray]:
+def _char_newton(s: np.ndarray, lin: LinearizationData, parts: bool = False) -> tuple:
     """char_fn and its exact derivative at an array of points, by Horner on
     Q, R and S; non-finite where exp(-s*T) overflows (callers hold np.errstate).
     Runs in place, each product keeping its operands in the order of
     f = Q - e R - K S and f' = Q' - e (R' - T R) - K' S - K S': complex
-    products are not bitwise commutative."""
+    products are not bitwise commutative.  With ``parts`` it also returns
+    copies of Q and Q', taken before the delay terms are subtracted."""
     if s.size == 1:
         # numpy's in-place complex product on a single element runs another
         # loop, which rounds differently from every longer array: pass a pair
-        f, df = _char_newton(np.repeat(s, 2), lin)
-        return f[:1], df[:1]
+        return tuple(a[:1] for a in _char_newton(np.repeat(s, 2), lin, parts))
     q2, q1, q0, r2, r1, r0, w2, w1, w0, three, q2x2, r2x2, w2x2, big_t = lin.horner_terms
     e, kern, dkern = _delay_terms(s, lin.t_delay)
     mul = np.multiply
     r = _horner(mul(r2, s), s, r1, r0)
     w = _horner(mul(w2, s), s, w1, w0)
     f = _horner(s.copy(), s, q2, q1, q0)
+    q = f.copy() if parts else None
     t = mul(e, r)
     f -= t
     f -= mul(kern, w, out=t)
     df = _horner(mul(three, s), s, q2x2, q1)
+    dq = df.copy() if parts else None
     _horner(mul(r2x2, s, out=t), s, r1)
     t -= mul(big_t, r, out=r)
     df -= mul(e, t, out=t)
     df -= mul(dkern, w, out=t)
     df -= mul(kern, _horner(mul(w2x2, s, out=w), s, w1), out=w)
-    return f, df
+    return (f, df, q, dq) if parts else (f, df)
 
 
 def _newton_batch(seeds: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray, np.ndarray]:
-    """Damped-free Newton on char_fn from every finite seed at once.
+    """Undamped Newton on char_fn from every finite seed at once.
 
-    Each of up to NEWTON_MAX_ITER passes evaluates char_fn and its exact
-    derivative on the working set, the seeds still moving.  A seed leaves it
-    once it applies a step with |step| <= NEWTON_TOL*|s_new|, and, keeping
-    its iterate, once its step is not finite (non-finite f, df = 0).  An
+    Each of up to NEWTON_MAX_ITER passes evaluates char_fn = Q - D and its
+    exact derivative on the working set, the seeds still moving.  A seed
+    whose delay terms outweigh the polynomial, |D| > CRAWL_RATIO*|Q|, where
+    plain Newton crawls right by about 1/T a pass, takes the Newton step of
+    log(Q/D) instead, which is nearly linear there, unless D'/D lies T or
+    more from -T.  A seed leaves the working set once it applies a step
+    with |step| <= NEWTON_TOL*max(|s_new|, ZERO_MODE_TOL), and, keeping its
+    iterate, once its step is not finite (non-finite f, df = 0).  An
     iterate is converged where |char_fn| <= NEWTON_TOL times a finite
     magnitude bound.  Returns (iterates, converged mask).
     """
+    big_t = lin.t_delay
     s = np.asarray(seeds, dtype=complex).copy()
     moving = np.flatnonzero(np.isfinite(s))
     x = s[moving]
@@ -364,12 +382,22 @@ def _newton_batch(seeds: np.ndarray, lin: LinearizationData) -> tuple[np.ndarray
         for _ in range(NEWTON_MAX_ITER):
             if not moving.size:
                 break
-            f, df = _char_newton(x, lin)
+            f, df, q, dq = _char_newton(x, lin, parts=True)
             step = f / df
+            d = q - f
+            crawl = np.flatnonzero(np.abs(d) > CRAWL_RATIO * np.abs(q))
+            if crawl.size:
+                q, dq, d = q[crawl], dq[crawl], d[crawl]
+                dlog_d = (dq - df[crawl]) / d
+                # log(Q/D) is nearly linear only where D'/D is near -T, not
+                # near a root that D shares with Q (s = -delta0 = -delta
+                # with a constant response)
+                step[crawl] = np.where(np.abs(dlog_d + big_t) < big_t,
+                                       np.log(q / d) / (dq / q - dlog_d), step[crawl])
             x_new = x - step
             s[moving] = np.where(np.isfinite(step), x_new, x)
             # a non-finite step fails this test too
-            go = np.abs(step) > NEWTON_TOL * np.abs(x_new)
+            go = np.abs(step) > NEWTON_TOL * np.maximum(np.abs(x_new), ZERO_MODE_TOL)
             moving, x = moving[go], x_new[go]
     f = char_fn(s, lin)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

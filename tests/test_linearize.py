@@ -504,19 +504,30 @@ class TestScanReuse:
         assert np.array_equal(again.roots, first.roots)
 
 
-def full_array_newton(seeds, lin, *, tol=1e-10, max_iter=50):
+def full_array_newton(seeds, lin, *, tol=1e-10, max_iter=50, crawl_ratio=1e3, floor=1e-6):
     """Reference sweep: every seed goes through every pass, a stopped seed
-    keeping its iterate.  A seed stops once it applies a step with
-    |step| <= tol*|s_new|, or, without applying it, on a non-finite step."""
+    keeping its iterate.  Where the delay terms D = Q - f exceed crawl_ratio
+    times the polynomial part Q (taken here by Horner on Python floats) and
+    D'/D lies within T of -T, the step is the Newton step of log(Q/D),
+    elsewhere f/f'.  A seed stops once it applies a step with
+    |step| <= tol*max(|s_new|, floor), or, without applying it, on a
+    non-finite step.  crawl_ratio=inf, floor=0 is the plain sweep that the
+    crawl rule and the stop floor replaced."""
+    q2, q1, q0 = lin.char_poly[:3]
+    big_t = lin.t_delay
     s = np.asarray(seeds, dtype=complex).copy()
     alive = np.isfinite(s)
     for _ in range(max_iter):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             f, df = linearize._char_newton(s, lin)
-            step = f / df
+            q, dq = ((s + q2) * s + q1) * s + q0, (3.0 * s + 2.0 * q2) * s + q1
+            d = q - f
+            dlog_d = (dq - df) / d
+            crawl = (np.abs(d) > crawl_ratio * np.abs(q)) & (np.abs(dlog_d + big_t) < big_t)
+            step = np.where(crawl, np.log(q / d) / (dq / q - dlog_d), f / df)
             new = s - step
             applied = alive & np.isfinite(step)
-            alive = applied & ~(np.abs(step) <= tol * np.abs(new))
+            alive = applied & ~(np.abs(step) <= tol * np.maximum(np.abs(new), floor))
         s = np.where(applied, new, s)
         if not alive.any():
             break
@@ -525,6 +536,11 @@ def full_array_newton(seeds, lin, *, tol=1e-10, max_iter=50):
     ok = (np.isfinite(s) & np.isfinite(f) & np.isfinite(bound)
           & (np.abs(f) <= tol * np.maximum(bound, 1e-300)))
     return s, ok
+
+
+def plain_newton(seeds, lin):
+    """The sweep before the crawl rule and the stop floor."""
+    return full_array_newton(seeds, lin, crawl_ratio=math.inf, floor=0.0)
 
 
 def acceptance_bound(s, lin):
@@ -586,8 +602,9 @@ def assert_bitwise_equal(got, want):
 
 
 class TestNewtonSweepCompaction:
-    """_newton_batch drops a seed once its step is below tol relative or
-    non-finite; the full-array sweep is the reference, bit for bit."""
+    """_newton_batch drops a seed once its step is below tol relative (with
+    the floor on |s|) or non-finite; the full-array sweep, crawl rule
+    included, is the reference, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(lin=sweep_lin(), grid_n=st.sampled_from([64, 256, 512]))
@@ -619,6 +636,102 @@ class TestNewtonSweepCompaction:
             want, want_ok = full_array_newton(np.array([seed]), lin)
             assert_bitwise_equal(got, want)
             assert np.array_equal(ok, want_ok)
+
+
+class TestCrawl:
+    """Seeds where the delay terms dominate take the log-ratio step instead
+    of crawling right by about 1/T a pass."""
+
+    def test_a_real_line_seed_at_minus_omega_max_is_accepted(self):
+        # at T = 5.4 plain Newton moves it from -70 only to -60.7 in 50 passes
+        p = ModelParams(delta0=0.17, l=0.159, m=2.0, n_total=3.0)
+        lin = linearize.build_linearization(equilibria.solve_e2(p), p)
+        seed = np.array([complex(-linearize.default_omega_max(lin))])
+        got, ok = linearize._newton_batch(seed, lin)
+        assert ok[0]
+        want, want_ok = full_array_newton(seed, lin)
+        assert_bitwise_equal(got, want)
+        assert want_ok[0]
+        assert not plain_newton(seed, lin)[1][0]
+
+    def test_a_root_that_q_and_d_share_is_still_found(self):
+        # with a constant response Q has the factor s + delta, so at
+        # delta0 = delta Q and D share the root s = -delta0: near it
+        # |D| > CRAWL_RATIO |Q| holds, yet log(Q/D) has no root there
+        p = ModelParams(delta0=0.17, l=None, m=6.2, n_total=52.6)
+        lin = linearize.build_linearization(equilibria.solve_e2(p), p)
+        s = np.array([-0.1701 + 0j, -0.17 + 1e-4j])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f, _, q, _ = linearize._char_newton(s, lin, parts=True)
+        assert (np.abs(q - f) > linearize.CRAWL_RATIO * np.abs(q)).all()
+        roots = linearize.scan_roots(lin, grid_n=512).roots
+        assert np.min(np.abs(roots + 0.17)) <= 1e-9
+
+    def test_zero_root_seeds_stop_before_the_pass_limit(self):
+        # delta0 = 0: seeds converging to the structural zero root hop at
+        # rounding level, so only the stop rule's floor on |s| stops them
+        m, l, nt = 6.0, 0.159, 3.0  # SWEEP_POINT of scripts/time_layers.py
+        p = ModelParams(delta0=0.0, l=l, m=m, n_total=nt)
+        lin = linearize.build_linearization(equilibria.solve_e2(p), p)
+        seeds = scan_seeds(lin, 512)
+        s, ok = linearize._newton_batch(seeds, lin)
+        zero = ok & (np.abs(s) <= linearize.ZERO_MODE_TOL)
+        assert zero.sum() >= 10
+        passes = []
+        real_pass = linearize._char_newton
+
+        def counted(x, lin, parts=False):
+            passes.append(x.size)
+            return real_pass(x, lin, parts)
+
+        with mock.patch.object(linearize, "_char_newton", counted):
+            again, again_ok = linearize._newton_batch(seeds[zero], lin)
+        # a one-seed pass runs as a pair and counts twice
+        assert len(passes) < linearize.NEWTON_MAX_ITER
+        assert_bitwise_equal(again, s[zero])
+        assert again_ok.all()
+
+
+#: (l, delta0) classes of the verdict sample: the four responses by the
+#: four juvenile mortalities.
+VERDICT_CLASSES = list(itertools.product([None, 0.01, 0.159, 1.0], [0.0, 0.05, 0.17, 0.3]))
+
+
+def verdict_points(seed, per_class):
+    """Linearizations at seeded E1 and E2 points, per_class of each (l, delta0)
+    class, m from 0.5 up to 19 (or just below the maturity ceiling)."""
+    rng = np.random.default_rng(seed)
+    for l, delta0 in VERDICT_CLASSES:
+        base = ModelParams(delta0=delta0, l=l, n_total=1.0)
+        m_hi = min(0.98 * equilibria.m_ceiling(base), 19.0)
+        for _ in range(per_class):
+            m = float(rng.uniform(0.5, m_hi))
+            base = dataclasses.replace(base, m=m)
+            nt2 = equilibria.compute_nt2(base)
+            if rng.random() < 0.5:
+                p = dataclasses.replace(base, n_total=nt2 * 10 ** rng.uniform(0.02, 1.2))
+                yield l, delta0, linearize.build_linearization(equilibria.solve_e2(p), p)
+            else:
+                nt1 = equilibria.compute_nt1(base)
+                p = dataclasses.replace(base, n_total=nt1 + rng.uniform(0.05, 0.95) * (nt2 - nt1))
+                yield l, delta0, linearize.build_linearization(equilibria.solve_e1(p), p)
+
+
+class TestCrawlAgainstThePlainSweep:
+    """The crawl rule against the plain sweep it replaced, on verdicts."""
+
+    def test_no_verdict_changes_sign(self):
+        moved = []
+        for l, delta0, lin in verdict_points(seed=24, per_class=12):
+            for grid_n in (256, 512):
+                got = linearize.rightmost_real_part(dataclasses.replace(lin), grid_n=grid_n)
+                with mock.patch.object(linearize, "_newton_batch", plain_newton):
+                    want = linearize.rightmost_real_part(dataclasses.replace(lin), grid_n=grid_n)
+                assert np.sign(got) == np.sign(want), (l, delta0, grid_n, got, want)
+                if not abs(got - want) <= 1e-9:
+                    moved.append((l, delta0))
+        # long delays, where a dense chain of roots lies just left of the axis
+        assert all(l is not None and l >= 0.159 and delta0 <= 0.17 for l, delta0 in moved)
 
 
 class TestRootAcceptance:
