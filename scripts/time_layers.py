@@ -20,7 +20,9 @@ n_total = 2, T of about 460), where plain Newton moves a seed left of
 the axis by only about 1/T a pass.  On
 fig6-stable with 200 panels per delay: one ``integrate`` step, from a run
 of two delays, ``dde_rhs`` at that run's last state and the state one delay
-before it, and ``juvenile_pool`` over the delay windows of that run.  On a
+before it, ``conservation_value`` of that run's last delay window (one
+row's conservation residual) and ``juvenile_pool`` over the delay windows
+of that run.  On a
 run of 6,000 steps at 400 panels per delay, the size of a sim-fig6
 benchmark task: ``juvenile_pool`` over its windows, ``tde_residual`` of the
 run, and the CLI's CSV writer (``_write_csv``) on the first 6,000 rows of
@@ -148,6 +150,7 @@ def _layers():
     steps = PANELS * DELAYS
     run_steps, pool, traj = _fig6_run(PANELS, steps)
     now, before = (model.StateNPZ(traj.n[i], traj.p[i], traj.z[i]) for i in (-1, -1 - PANELS))
+    window = [getattr(traj, k)[-1 - PANELS:] for k in ("t_hat", "n", "p", "z")]
     _, long_pool, long_traj = _fig6_run(LONG_PANELS, LONG_STEPS)
     fields = ["t_hat", "t", "n", "p", "z", "tau_m", "cons_residual"]
     columns = [getattr(long_traj, f)[:LONG_STEPS] for f in fields]
@@ -174,6 +177,8 @@ def _layers():
         ("scan_roots grid 512 long delay", 2, _long_delay_scan(), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
         ("dde_rhs", 500, lambda: model.dde_rhs(now, before, traj.tau_m[-1], traj.params), 1),
+        (f"conservation_value ({PANELS + 1} samples)", 50,
+         lambda: model.conservation_value(*window, traj.params), 1),
         (f"juvenile_pool ({steps + 1} windows)", 5, pool, 1),
         (f"juvenile_pool ({LONG_STEPS + 1} windows)", 5, long_pool, 1),
         (f"tde_residual ({len(long_traj)} rows)", 1, lambda: simulate.tde_residual(long_traj), 1),

@@ -388,6 +388,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_CHECKS if failed else EXIT_OK
 
 
+@functools.cache  # parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tde-plankton",

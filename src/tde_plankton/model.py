@@ -213,54 +213,45 @@ def dde_rhs(
         raise DomainError("dde_rhs requires strictly positive phytoplankton samples")
     params.require_r_star()
     _check_nonneg(current.n, "n")
-    return StateNPZ(*_rhs(
-        current.n, current.p, current.z, delayed.p, delayed.z, tau_hat_m, params
+    return StateNPZ(*rhs_kernel(params)(
+        current.n, current.p, current.z, delayed.p, delayed.z, tau_hat_m
     ))
 
 
-def _r(p: float, params: ModelParams) -> float:
-    """R(P) on a plain float already known to be positive."""
-    return 1.0 if params.l is None else p / (p + params.l)
+def rhs_kernel(params: ModelParams):
+    """Unvalidated :func:`dde_rhs` on plain floats, with ``params`` bound.
 
-
-def _rhs(
-    n: float, p: float, z: float, p_del: float, z_del: float,
-    tau_hat_m: float, params: ModelParams,
-) -> tuple[float, float, float]:
-    """Unvalidated :func:`dde_rhs` on plain floats, for the integrator loop.
-
-    The caller guarantees p, p_del > 0, n >= 0 and a resolved r_star; the
+    Returns ``rhs(n, p, z, p_del, z_del, tau_hat_m) -> (dn, dp, dz)``, built
+    once per run so the integrator loop reads no parameter attribute.  The
+    caller guarantees p, p_del > 0, n >= 0 and a resolved r_star; the
     singular-rate guard stays here because it depends on the values.
     """
-    r_cur = _r(p, params)
-    r_del = _r(p_del, params)
-    if r_cur < params.r_floor or r_del < params.r_floor:
-        raise SingularRateError(
-            f"growth rate below floor {params.r_floor:g} (approaching the phase-space boundary)"
+    mu, lam, g, delta, delta0 = params.mu, params.lam, params.g, params.delta, params.delta0
+    k, kk, n_total, rs = params.k, params.kk, params.n_total, params.r_star
+    r_floor = params.r_floor
+    # p / (p + 0) is exactly 1 for the positive p the kernel is given
+    el = 0.0 if params.l is None else params.l
+    gg, recycled = params.gamma * g, 1.0 - params.gamma
+
+    def rhs(n, p, z, p_del, z_del, tau_hat_m):
+        r_cur = p / (p + el)
+        r_del = p_del / (p_del + el)
+        if r_cur < r_floor or r_del < r_floor:
+            raise SingularRateError(
+                f"growth rate below floor {r_floor:g} (approaching the phase-space boundary)"
+            )
+        pref = rs / r_cur
+        growth = mu * p * (n / (n + k))
+        graze = g * z * (p / (p + kk))
+        recycle = lam * p + delta * z + recycled * graze + delta0 * (n_total - n - p - z)
+        birth = gg * math.exp(-delta0 * tau_hat_m) * (rs / r_del) * z_del * (p_del / (p_del + kk))
+        return (
+            pref * (-growth + recycle),
+            pref * (growth - lam * p - graze),
+            birth - pref * delta * z,
         )
-    rs = params.r_star
-    pref = rs / r_cur
-    growth = params.mu * p * (n / (n + params.k))
-    graze = params.g * z * (p / (p + params.kk))
-    recycle = (
-        params.lam * p
-        + params.delta * z
-        + (1.0 - params.gamma) * graze
-        + params.delta0 * (params.n_total - n - p - z)
-    )
-    birth = (
-        params.gamma
-        * params.g
-        * math.exp(-params.delta0 * tau_hat_m)
-        * (rs / r_del)
-        * z_del
-        * (p_del / (p_del + params.kk))
-    )
-    return (
-        pref * (-growth + recycle),
-        pref * (growth - params.lam * p - graze),
-        birth - pref * params.delta * z,
-    )
+
+    return rhs
 
 
 def juvenile_pool(

@@ -247,17 +247,22 @@ def integrate(
     termination = Termination.HORIZON_REACHED
     tau_drift_max = 0.0
     crossing = None
+    rhs = model.rhs_kernel(params)
+    # R(p) = p / (p + el) at the predictor and the new sample, as in rhs
+    el, r_floor = (0.0 if params.l is None else params.l), params.r_floor
+    half_dt = 0.5 * dt
 
+    # the loop carries the current node, its r_star/R factor and stage one's
+    # delayed sample, which is stage two's delayed sample of the step before
     i = lag  # the last sample written, at t_hat = 0 before the first step
+    t_now, cn, cp, cz, inv_r_now = t_v[i], n_v[i], p_v[i], z_v[i], r_v[i]
+    p_del, z_del, inv_r_del = p_v[0], z_v[0], r_v[0]
     for step in range(1, n_steps + 1):
-        cn, cp, cz = n_v[i], p_v[i], z_v[i]
         if cp <= p_floor:
             termination = Termination.EXTINCTION
             break
         try:
-            k1n, k1p, k1z = model._rhs(
-                cn, cp, cz, p_v[i - lag], z_v[i - lag], tau_now, params
-            )
+            k1n, k1p, k1z = rhs(cn, cp, cz, p_del, z_del, tau_now)
         except SingularRateError:
             termination = Termination.SINGULAR_RATE
             break
@@ -265,7 +270,7 @@ def integrate(
         pn, pp, pz = cn + dt * k1n, cp + dt * k1p, cz + dt * k1z
         if pp <= p_floor:
             theta = (cp - p_floor) / (cp - pp)
-            crossing = (t_v[i] + theta * dt, StateNPZ(
+            crossing = (t_now + theta * dt, StateNPZ(
                 cn + theta * dt * k1n, p_floor, max(cz + theta * dt * k1z, 0.0)
             ))
             break
@@ -273,28 +278,28 @@ def integrate(
             raise DomainError(f"predictor left the positive domain; {finer}")
 
         # lag over the predicted window: add the new panel, drop the oldest;
-        # a predictor below the rate floor ends the run in stage two's _rhs
+        # a predictor below the rate floor ends the run in stage two's rhs
         if lag > 0:
-            inv_r_pred = rs / model._r(pp, params)
-            oldest = dt * 0.5 * (r_v[i - lag] + r_v[i - lag + 1])
-            tau_pred = tau_now + dt * 0.5 * (r_v[i] + inv_r_pred) - oldest
-            p_del, z_del = p_v[i + 1 - lag], z_v[i + 1 - lag]
+            d = i + 1 - lag
+            p_del, z_del, inv_r_next = p_v[d], z_v[d], r_v[d]
+            oldest = half_dt * (inv_r_del + inv_r_next)
+            tau_pred = tau_now + half_dt * (inv_r_now + rs / (pp / (pp + el))) - oldest
         else:
             # no delay: the "delayed" sample at the next node is the node itself
             tau_pred = 0.0
             p_del, z_del = pp, pz
         try:
-            k2n, k2p, k2z = model._rhs(pn, pp, pz, p_del, z_del, tau_pred, params)
+            k2n, k2p, k2z = rhs(pn, pp, pz, p_del, z_del, tau_pred)
         except SingularRateError:
             termination = Termination.SINGULAR_RATE
             break
 
-        n_new = cn + 0.5 * dt * (k1n + k2n)
-        p_new = cp + 0.5 * dt * (k1p + k2p)
-        z_new = cz + 0.5 * dt * (k1z + k2z)
+        n_new = cn + half_dt * (k1n + k2n)
+        p_new = cp + half_dt * (k1p + k2p)
+        z_new = cz + half_dt * (k1z + k2z)
         if p_new <= p_floor:
             theta = (cp - p_floor) / (cp - p_new)
-            crossing = (t_v[i] + theta * dt, StateNPZ(
+            crossing = (t_now + theta * dt, StateNPZ(
                 cn + theta * (n_new - cn), p_floor, max(cz + theta * (z_new - cz), 0.0)
             ))
             break
@@ -305,22 +310,26 @@ def integrate(
                 raise DomainError(f"corrected step drove zooplankton negative; {finer}")
         if n_new <= 0:
             raise DomainError(f"corrected step drove nutrient nonpositive; {finer}")
-        r_new = model._r(p_new, params)
-        if r_new < params.r_floor:
+        r_new = p_new / (p_new + el)
+        if r_new < r_floor:
             raise SingularRateError("growth rate below floor at a new sample")
 
-        j = i + 1
-        t_v[j], n_v[j], p_v[j], z_v[j], r_v[j] = t_v[i] + dt, n_new, p_new, z_new, rs / r_new
+        i += 1
+        t_now += dt
+        inv_r_new = rs / r_new
+        t_v[i], n_v[i], p_v[i], z_v[i], r_v[i] = t_now, n_new, p_new, z_new, inv_r_new
         if lag > 0:
-            tau_new = tau_now + dt * 0.5 * (r_v[i] + r_v[j]) - oldest
+            tau_new = tau_now + half_dt * (inv_r_now + inv_r_new) - oldest
             if step % tau_refresh_interval == 0:
-                scratch = _lag_trapezoid(inv_r[j - lag: j + 1], dt)
+                scratch = _lag_trapezoid(inv_r[i - lag: i + 1], dt)
                 tau_drift_max = max(tau_drift_max, abs(tau_new - scratch))
                 tau_new = scratch
+            inv_r_del = inv_r_next
         else:
             tau_new = 0.0
+            p_del, z_del = p_new, z_new
         tau_v[step] = tau_now = tau_new
-        i = j
+        cn, cp, cz, inv_r_now = n_new, p_new, z_new, inv_r_new
 
     on_grid = i + 1 - lag  # rows on the uniform grid
     end = i + 1

@@ -96,6 +96,20 @@ class TestExitCodes:
     def test_malformed_set_exits_2(self, tmp_path):
         assert run_cli(["check", "--out", str(tmp_path), "--set", "model.mu"]) == 2
 
+    def test_calls_share_no_overrides(self, tmp_path, monkeypatch):
+        # the parser is built once; its append default must not collect items
+        seen = []
+
+        def stop(preset_vals, file_vals, overrides):
+            seen.append(overrides)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(cli, "build_config", stop)
+        for sets in (["model.m=5", "model.mu=6"], [], ["model.delta0=0.17"]):
+            argv = ["check", "--out", str(tmp_path)]
+            assert run_cli(argv + [x for item in sets for x in ("--set", item)]) == 2
+        assert seen == [{"model.m": "5", "model.mu": "6"}, {}, {"model.delta0": "0.17"}]
+
     @pytest.mark.parametrize("item", [
         "model.r_star=abc", "run.dt_hat=0", "run.dt_hat=-0.5", "continuation.grid_n=8",
         "model.m=nan",

@@ -209,7 +209,7 @@ class TestRhsKernel:
         n, p_cur, z, p_del, z_del = state
         p = ModelParams(delta0=delta0, l=l, m=5.0, n_total=3.0, r_star=0.7)
         cur, dl = StateNPZ(n, p_cur, z), StateNPZ(0.5, p_del, z_del)
-        kernel = model._rhs(n, p_cur, z, p_del, z_del, tau, p)
+        kernel = model.rhs_kernel(p)(n, p_cur, z, p_del, z_del, tau)
         public = model.dde_rhs(cur, dl, tau, p)
         assert kernel == tuple(public)
         assert kernel == _rhs_reference(cur, dl, tau, p)
@@ -217,7 +217,7 @@ class TestRhsKernel:
     def test_kernel_keeps_the_singular_rate_guard(self, table1):
         p = equilibria.resolve_r_star(table1(m=5.0, n_total=1.0))
         with pytest.raises(SingularRateError):
-            model._rhs(0.5, 0.2, 0.1, 1e-16, 0.1, 1.0, p)
+            model.rhs_kernel(p)(0.5, 0.2, 0.1, 1e-16, 0.1, 1.0)
 
     def test_dde_rhs_keeps_its_errors(self, table1):
         p = equilibria.resolve_r_star(table1(m=5.0, n_total=1.0))

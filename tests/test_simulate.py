@@ -11,8 +11,9 @@ from tde_plankton.exceptions import (
     InfeasibleBiomassError,
     InsufficientHistoryError,
     OutOfRegionError,
+    SingularRateError,
 )
-from tde_plankton.model import ModelParams
+from tde_plankton.model import ModelParams, StateNPZ
 from tde_plankton.presets import preset_values
 from tde_plankton.simulate import HistorySpec, Termination
 
@@ -212,13 +213,8 @@ class TestIntegrate:
     def test_rate_floor_in_the_predictor_ends_the_run(self):
         # the collapsing phytoplankton drives R(p) below r_floor at a
         # predictor, and stage two's singular-rate guard ends the run there
-        nt = float(preset_values("extinction")["model.n_total"])
-        p = equilibria.resolve_r_star(
-            ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=nt, r_floor=1e-4)
-        )
-        big_t = p.m / p.r_star
-        buf = simulate.build_initial(HistorySpec.constant(0.3 * nt, 0.1 * nt), p, big_t / 2000)
-        traj = simulate.integrate(buf, 120.0)
+        spec, p, dt_hat, horizon = _rate_floor_run()
+        traj = simulate.integrate(simulate.build_initial(spec, p, dt_hat), horizon)
         assert traj.termination is Termination.SINGULAR_RATE
         assert len(traj) == 89
 
@@ -261,6 +257,127 @@ def _extinction_run():
     p = equilibria.resolve_r_star(ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=nt))
     spec = HistorySpec.constant(0.3 * nt, 0.1 * nt)
     return spec, p, p.m / p.r_star / 2000, 120.0
+
+
+def _rate_floor_run():
+    nt = float(preset_values("extinction")["model.n_total"])
+    p = equilibria.resolve_r_star(
+        ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=nt, r_floor=1e-4)
+    )
+    return HistorySpec.constant(0.3 * nt, 0.1 * nt), p, p.m / p.r_star / 2000, 120.0
+
+
+def _integrate_reference(buf, horizon_hat, tau_refresh_interval=simulate.TAU_REFRESH_INTERVAL):
+    """:func:`simulate.integrate` one sample at a time, with both stages
+    through the public ``dde_rhs`` and every operand read back from the
+    stored series: the step loop before its rate kernel was bound per run."""
+    params, dt, lag = buf.params, buf.dt_hat, buf.n_delay_panels
+    rs, p_floor = params.r_star, simulate.EXTINCTION_FLOOR_FRAC * params.n_total
+    t_hat, n, p, z, inv_r = (getattr(buf, k).tolist() for k in ("t_hat", "n", "p", "z", "inv_r"))
+    tau_m = [buf.tau_m]
+    termination, crossing, tau_drift_max = Termination.HORIZON_REACHED, None, 0.0
+    for step in range(1, int(round(horizon_hat / dt)) + 1):
+        i = len(t_hat) - 1
+        cur = StateNPZ(n[i], p[i], z[i])
+        if cur.p <= p_floor:
+            termination = Termination.EXTINCTION
+            break
+        try:
+            k1 = model.dde_rhs(cur, StateNPZ(n[i - lag], p[i - lag], z[i - lag]), tau_m[-1],
+                               params)
+        except SingularRateError:
+            termination = Termination.SINGULAR_RATE
+            break
+        pred = StateNPZ(*(c + dt * k for c, k in zip(cur, k1)))
+        if pred.p <= p_floor:
+            theta = (cur.p - p_floor) / (cur.p - pred.p)
+            crossing = (t_hat[i] + theta * dt, cur.n + theta * dt * k1.n, p_floor,
+                        max(cur.z + theta * dt * k1.z, 0.0))
+            break
+        if pred.n < 0:
+            raise DomainError("predictor left the positive domain")
+        if lag > 0:
+            oldest = dt * 0.5 * (inv_r[i - lag] + inv_r[i - lag + 1])
+            inv_r_pred = rs / model.r_growth(pred.p, params)
+            tau_pred = tau_m[-1] + dt * 0.5 * (inv_r[i] + inv_r_pred) - oldest
+            delayed = StateNPZ(n[i + 1 - lag], p[i + 1 - lag], z[i + 1 - lag])
+        else:
+            tau_pred, delayed = 0.0, pred
+        try:
+            k2 = model.dde_rhs(pred, delayed, tau_pred, params)
+        except SingularRateError:
+            termination = Termination.SINGULAR_RATE
+            break
+        new_n, new_p, new_z = (c + 0.5 * dt * (a + b) for c, a, b in zip(cur, k1, k2))
+        if new_p <= p_floor:
+            theta = (cur.p - p_floor) / (cur.p - new_p)
+            crossing = (t_hat[i] + theta * dt, cur.n + theta * (new_n - cur.n), p_floor,
+                        max(cur.z + theta * (new_z - cur.z), 0.0))
+            break
+        if -1e-12 * params.n_total < new_z < 0:
+            new_z = 0.0
+        if new_z < 0 or new_n <= 0:
+            raise DomainError("corrected step left the positive domain")
+        r_new = model.r_growth(new_p, params)
+        if r_new < params.r_floor:
+            raise SingularRateError("growth rate below floor at a new sample")
+        for series, value in zip((t_hat, n, p, z, inv_r),
+                                 (t_hat[i] + dt, new_n, new_p, new_z, rs / r_new)):
+            series.append(value)
+        tau_new = 0.0
+        if lag > 0:
+            tau_new = tau_m[-1] + dt * 0.5 * (inv_r[i] + inv_r[i + 1]) - oldest
+            if step % tau_refresh_interval == 0:
+                scratch = simulate._lag_trapezoid(np.array(inv_r[-lag - 1:]), dt)
+                tau_drift_max = max(tau_drift_max, abs(tau_new - scratch))
+                tau_new = scratch
+        tau_m.append(tau_new)
+
+    on_grid = len(t_hat) - lag
+    lagged = model.juvenile_pool(np.array(t_hat), np.array(p), np.array(z), lag, params)
+    if crossing is not None:
+        # the crossing row repeats the last 1/R factor and lag
+        termination = Termination.EXTINCTION
+        for series, value in zip((t_hat, n, p, z, inv_r), crossing + (inv_r[-1],)):
+            series.append(value)
+        tau_m.append(tau_m[-1])
+    t_hat, n, p, z, inv_r = (np.array(x) for x in (t_hat, n, p, z, inv_r))
+    rows = slice(lag, None)
+    cons = n[rows] + p[rows] + z[rows]
+    cons[:on_grid] += lagged
+    cons -= params.n_total
+    cons[on_grid:] = cons[on_grid - 1]
+    clock = simulate.to_physical_time(buf.t_hat, buf.inv_r)
+    return simulate.Trajectory(
+        t_hat=t_hat[rows], t=simulate.to_physical_time(t_hat[rows], inv_r[rows]),
+        n=n[rows], p=p[rows], z=z[rows], tau_m=np.array(tau_m), cons_residual=cons,
+        inv_r=inv_r[rows], termination=termination, dt_hat=dt, params=params,
+        hist_t=clock - clock[-1], hist_p=buf.p, hist_z=buf.z, tau_drift_max=tau_drift_max,
+    )
+
+
+class TestAgainstTheReferenceLoop:
+    """The step loop with its rate kernel bound per run and its state carried
+    between steps, bit for bit against the loop it replaced."""
+
+    @pytest.mark.parametrize("make, termination, rows", [
+        (_fig6_run, Termination.HORIZON_REACHED, None),
+        (_run_without_delay, Termination.HORIZON_REACHED, None),
+        (_extinction_run, Termination.EXTINCTION, None),
+        (_rate_floor_run, Termination.SINGULAR_RATE, 89),
+    ])
+    def test_every_column_is_bit_equal(self, make, termination, rows):
+        spec, p, dt_hat, horizon = make()
+        buf = simulate.build_initial(spec, p, dt_hat)
+        traj = simulate.integrate(buf, horizon, tau_refresh_interval=100)
+        ref = _integrate_reference(buf, horizon, tau_refresh_interval=100)
+        assert traj.termination is ref.termination is termination
+        assert len(traj) == len(ref)
+        assert rows is None or len(ref) == rows
+        for name in ("t_hat", "t", "n", "p", "z", "tau_m", "cons_residual", "inv_r",
+                     "hist_t", "hist_p", "hist_z"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        assert traj.tau_drift_max == ref.tau_drift_max
 
 
 def _run_series(buf, traj):
