@@ -17,7 +17,10 @@ seeds at the structural zero root take the kernel's series branch) and
 once with delta0 = 0.17.  The root scan at grid 512 at the long-delay
 coexistence state LONG_DELAY_POINT (l = 1, delta0 = 0, m = 16,
 n_total = 2, T of about 460), where plain Newton moves a seed left of
-the axis by only about 1/T a pass.  On
+the axis by only about 1/T a pass, and one stability verdict at grid 512
+at the long-delay coexistence state LONG_VERDICT_POINT (T of about 407),
+whose disc is seeded pi/(2T) apart.  The radius of the root disc
+(``root_radius``) at the fig4-l0.159-dd boundary point.  On
 fig6-stable with 200 panels per delay: one ``integrate`` step, from a run
 of two delays, ``dde_rhs`` at that run's last state and the state one delay
 before it, ``conservation_value`` of that run's last delay window (one
@@ -66,6 +69,9 @@ SWEEP_POINT = (6.0, 0.159, 3.0)
 #: (m, l, delta0, n_total) of the long-delay root scan layer.
 LONG_DELAY_POINT = (16.0, 1.0, 0.0, 2.0)
 
+#: (m, l, delta0, n_total) of the long-delay verdict layer.
+LONG_VERDICT_POINT = (14.127330466813257, 1.0, 0.0, 0.08520849473947666)
+
 #: Steps per delay, and delays per run, of the timed integrate layer.
 PANELS, DELAYS = 200, 2
 #: Steps per delay, and steps, of the long run for the second pool layer.
@@ -98,12 +104,23 @@ def _sweep(delta0):
     return lambda: linearize._newton_batch(seeds, lin)
 
 
+def _long_delay_lin(point):
+    """The linearization at the coexistence state (m, l, delta0, n_total)."""
+    m, el, delta0, n_total = point
+    params = model.ModelParams(m=m, l=el, delta0=delta0, n_total=n_total)
+    return linearize.build_linearization(equilibria.solve_e2(params), params)
+
+
 def _long_delay_scan():
     """A grid-512 root scan at LONG_DELAY_POINT, on a fresh copy each call."""
-    m, el, delta0, n_total = LONG_DELAY_POINT
-    params = model.ModelParams(m=m, l=el, delta0=delta0, n_total=n_total)
-    lin = linearize.build_linearization(equilibria.solve_e2(params), params)
+    lin = _long_delay_lin(LONG_DELAY_POINT)
     return lambda: linearize.scan_roots(replace(lin), grid_n=512)
+
+
+def _long_delay_verdict():
+    """A grid-512 verdict at LONG_VERDICT_POINT, on a fresh copy each call."""
+    lin = _long_delay_lin(LONG_VERDICT_POINT)
+    return lambda: linearize.rightmost_real_part(replace(lin), grid_n=512)
 
 
 def _import_cli():
@@ -175,6 +192,8 @@ def _layers():
         ("_newton_batch grid 512 delta0 0", 2, _sweep(0.0), 1),
         ("_newton_batch grid 512 delta0 0.17", 2, _sweep(0.17), 1),
         ("scan_roots grid 512 long delay", 2, _long_delay_scan(), 1),
+        ("rightmost_real_part grid 512 long delay", 2, _long_delay_verdict(), 1),
+        ("root radius", 500, lambda: linearize.root_radius(lin), 1),
         (f"integrate step ({PANELS} panels)", 1, run_steps, steps),
         ("dde_rhs", 500, lambda: model.dde_rhs(now, before, traj.tau_m[-1], traj.params), 1),
         (f"conservation_value ({PANELS + 1} samples)", 50,

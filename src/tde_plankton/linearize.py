@@ -16,26 +16,33 @@ A2 and A3 act on the zooplankton row only, so it is Q(s) - exp(-s*T) R(s)
 - K(s) S(s) with polynomials fixed once per linearization.  :func:`char_fn`
 evaluates it as that row's entries times their cofactor polynomials (its
 rounding in step with the Hadamard yardstick's row norms; at a scalar both
-come from one pass, :func:`char_fn_and_scale`), the entries
-computed once in plain floats by :func:`linearization_entries`;
-:func:`linearization_at`, the only constructor of
-:class:`LinearizationData`, keeps them in that record, which rebuilds its
-matrices from them on demand.  Roots come from grid-seeded Newton
-iteration, each pass taking value and exact derivative by Horner on Q, R
-and S in place over the seeds still moving, the kernel's series only at
-those inside its switch circle (a seed stops once its step is not above tol
-relative to the larger of its new iterate and ZERO_MODE_TOL); each scan is
-kept on its linearization.  Where the delay terms D = Q - char_fn outweigh
-Q by CRAWL_RATIO, Newton on char_fn crawls right by about 1/T a pass
-(Bellman & Cooke, Differential-Difference Equations, 1963, ch. 12), so
-such a seed takes the Newton step of log(Q/D), nearly linear there (where
-D'/D lies within T of -T).  An
-iterate is a root where |char_fn| <= tol*B with B finite:
-B is the Hadamard bound with each zooplankton-row entry taken as the sum of
-its terms' magnitudes, which stays away from zero where that row's delay
-factor vanishes (at the phytoplankton-only state the row is (0, 0, x2)).
-The verdict helper returns the largest real part found, which backs every
-stability claim made elsewhere in the package.
+come from one pass, :func:`char_fn_and_scale`), the entries computed once in
+plain floats by :func:`linearization_entries`; :func:`linearization_at`, the
+only constructor of :class:`LinearizationData`, keeps them in that record,
+which rebuilds its matrices from them on demand.
+
+Every root with Re s >= sigma lies in the disc |s| <= rho(sigma) of
+:func:`root_radius`, a Rouché-type envelope (Michiels & Niculescu, Stability
+and Stabilization of Time-Delay Systems, 2007; Stépán, Retarded Dynamical
+Systems, 1989) from the coefficient magnitudes of Q, R and S.  The verdict,
+:func:`rightmost_real_part`, which backs every stability claim made elsewhere
+in the package, seeds Newton iteration only inside that disc at sigma = 0,
+widened once to rho(v) if the verdict v found is negative: imaginary-axis
+seeds at most pi/(2T) apart, grid_n setting their density (at most
+default_omega_max/(grid_n - 1) apart, at least grid_n // 8), and a real line.
+A frequency window's scan keeps the full span of :func:`default_omega_max`.
+Each pass takes value and exact derivative by Horner on Q, R and S in place
+over the seeds still moving, the kernel's series only at those inside its
+switch circle (a seed stops once its step is not above tol relative to the
+larger of its new iterate and ZERO_MODE_TOL); each scan is kept on its
+linearization.  Where the delay terms D = Q - char_fn outweigh Q by
+CRAWL_RATIO, Newton on char_fn crawls right by about 1/T a pass (Bellman &
+Cooke, Differential-Difference Equations, 1963, ch. 12), so such a seed
+takes the Newton step of log(Q/D), nearly linear there (where D'/D lies
+within T of -T).  An iterate is a root where |char_fn| <= tol*B with B
+finite: B is the Hadamard bound with each zooplankton-row entry taken as the
+sum of its terms' magnitudes, which stays away from zero where that row's
+delay factor vanishes (at the phytoplankton-only state the row is (0, 0, x2)).
 """
 
 from __future__ import annotations
@@ -72,6 +79,10 @@ ZERO_MODE_TOL = 1e-6
 #: A Newton seed whose delay terms D exceed this multiple of the polynomial
 #: part Q of char_fn = Q - D takes the Newton step of log(Q/D) (the crawl).
 CRAWL_RATIO = 1e3
+
+#: Right of Re s = -_EXP_ROOM/T, exp(-s*T) stays below the square root of the
+#: float range, so a Newton pass's products with it stay finite.
+_EXP_ROOM = 0.5 * math.log(np.finfo(float).max)
 
 
 class CharForm(NamedTuple):
@@ -132,7 +143,7 @@ class LinearizationData:
                      for c in (*p, 3.0, 2.0 * p[0], 2.0 * p[3], 2.0 * p[6], self.t_delay))
 
     @cached_property
-    def scans(self) -> dict:  # grid_n -> RootScan
+    def scans(self) -> dict:  # (grid_n, disc) -> RootScan
         return {}
 
     @property
@@ -450,26 +461,78 @@ def default_omega_max(lin: LinearizationData) -> float:
     return 10.0 * max(rates)
 
 
-def scan_roots(lin: LinearizationData, grid_n: int = 512) -> RootScan:
+def root_radius(lin: LinearizationData, sigma: float = 0.0) -> float:
+    """Radius rho of a disc |s| <= rho holding every root with Re s >= sigma:
+    there |exp(-s*T)| <= E = exp(-sigma*T) and |K(s)| <= (1 + E)/|s|, so
+    |Q| <= E|R| + (1 + E)|S|/|s|, and with char_poly's coefficient magnitudes
+    p(|s|) <= 0 for p(r) = r^4 - c3 r^3 - c2 r^2 - c1 r - c0.  rho is its one
+    positive root; p is convex right of rho, so Newton from Fujiwara's bound
+    stays above it."""
+    try:
+        big_e = math.exp(-sigma * lin.t_delay) if lin.t_delay else 1.0
+    except OverflowError:
+        return math.inf
+    q2, q1, q0, r2, r1, r0, w2, w1, w0 = map(abs, lin.char_poly)
+    c3, c2 = q2 + big_e * r2, q1 + big_e * r1 + (1 + big_e) * w2
+    c1, c0 = q0 + big_e * r0 + (1 + big_e) * w1, (1 + big_e) * w0
+    r = 2.0 * max(c3, c2 ** 0.5, c1 ** (1 / 3), (c0 / 2) ** 0.25)
+    while 0.0 < r < math.inf:
+        step = ((((r - c3) * r - c2) * r - c1) * r - c0) / (
+            ((4.0 * r - 3.0 * c3) * r - 2.0 * c2) * r - c1)
+        r -= step
+        if not step > NEWTON_TOL * r:
+            break
+    return r
+
+
+def _disc_seeds(lin: LinearizationData, grid_n: int, rho: float) -> np.ndarray:
+    """Seeds of the disc |s| <= rho: imaginary-axis seeds at most pi/(2T)
+    and omega_max/(grid_n - 1) apart, never fewer than grid_n // 8, and
+    max(grid_n // 8, 17) on [-rho, rho], none left of -_EXP_ROOM/T."""
+    big_t = lin.t_delay
+    step = min(default_omega_max(lin) / (grid_n - 1),
+               math.pi / (2.0 * big_t) if big_t else math.inf)
+    im = np.linspace(0.0, rho, max(grid_n // 8, math.ceil(rho / step) + 1))
+    re = np.linspace(-rho, rho, max(grid_n // 8, 17))
+    return np.concatenate([1j * im, re[re * big_t >= -_EXP_ROOM]])
+
+
+def scan_roots(lin: LinearizationData, grid_n: int = 512, disc: bool = False) -> RootScan:
     """Newton root sweep from imaginary-axis seeds up to
-    :func:`default_omega_max` plus a real-axis line.
+    :func:`default_omega_max` plus a real-axis line, or, with ``disc``, from
+    seeds in the disc of :func:`root_radius` at 0; where the rightmost root
+    v found (structural zero dropped) gives a larger radius at min(v, 0),
+    the seeds of that disc outside the first are swept too, once, since
+    merging moves v right only.  Both radii are capped at
+    :func:`default_omega_max`.
 
     Kept on ``lin``: a repeat returns the same scan, with read-only roots.
     """
     if grid_n < 64:
         raise DomainError("grid_n must be at least 64")
-    scan = lin.scans.get(grid_n)
+    scan = lin.scans.get((grid_n, disc))
     if scan is not None:
         return scan
     omega_max = default_omega_max(lin)
-    seeds = np.concatenate(
-        [
-            1j * np.linspace(0.0, omega_max, grid_n),
-            np.linspace(-omega_max, 0.25 * omega_max, max(grid_n // 8, 17)),
-        ]
-    )
+    if disc:
+        rho = min(root_radius(lin), omega_max)
+        seeds = _disc_seeds(lin, grid_n, rho)
+    else:
+        seeds = np.concatenate(
+            [
+                1j * np.linspace(0.0, omega_max, grid_n),
+                np.linspace(-omega_max, 0.25 * omega_max, max(grid_n // 8, 17)),
+            ]
+        )
     roots, ok = _newton_batch(seeds, lin)
-    coverage = float(np.mean(ok)) if seeds.size else 0.0
+    if disc:
+        found = _drop_structural_zero(roots[ok], lin).real
+        wide = min(root_radius(lin, min(float(np.max(found, initial=-math.inf)), 0.0)), omega_max)
+        if wide > rho:
+            more = _disc_seeds(lin, grid_n, wide)
+            more = _newton_batch(more[np.abs(more) > rho], lin)
+            roots, ok = np.concatenate([roots, more[0]]), np.concatenate([ok, more[1]])
+    coverage = float(np.mean(ok))
     kept = roots[ok]
     # conjugate symmetry: fold onto the upper half plane
     kept = _dedupe(np.where(kept.imag < 0, np.conj(kept), kept))
@@ -481,7 +544,7 @@ def scan_roots(lin: LinearizationData, grid_n: int = 512) -> RootScan:
     kept = np.where(np.abs(step) <= DEDUPE_RTOL * np.maximum(1.0, np.abs(kept)), kept - step, kept)
     kept = np.where(kept.imag < 0, np.conj(kept), kept)
     kept.flags.writeable = False
-    scan = lin.scans[grid_n] = RootScan(roots=kept, coverage=coverage)
+    scan = lin.scans[grid_n, disc] = RootScan(roots=kept, coverage=coverage)
     return scan
 
 
@@ -498,7 +561,8 @@ def _rightmost_root(
 ) -> complex | None:
     """Rightmost scanned root, structural zero dropped, frequency optionally
     windowed to [lo, hi); None when no root is left."""
-    roots = _drop_structural_zero(scan_roots(lin, grid_n=grid_n).roots, lin)
+    scan = scan_roots(lin, grid_n=grid_n, disc=omega_window is None)
+    roots = _drop_structural_zero(scan.roots, lin)
     if omega_window is not None:
         roots = roots[(roots.imag >= omega_window[0]) & (roots.imag < omega_window[1])]
     if roots.size == 0:
@@ -507,7 +571,7 @@ def _rightmost_root(
 
 
 def rightmost_real_part(lin: LinearizationData, grid_n: int = 512) -> float:
-    """Largest real part among the roots found by the seed sweep.
+    """Largest real part among the roots found by the disc scan.
 
     Best-effort by construction: the verdict is only as good as the seed
     coverage (grid_n controls it).  Returns -inf if nothing converged.

@@ -1,8 +1,11 @@
 import cmath
 import dataclasses
+import importlib.util
 import itertools
 import math
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -476,13 +479,17 @@ class TestDedupe:
 class TestScanReuse:
     def test_repeat_returns_the_stored_scan(self, table1):
         _, _, lin = e2_lin(table1)
-        first = linearize.scan_roots(lin, grid_n=128)
-        assert linearize.scan_roots(lin, grid_n=128) is first
+        first = linearize.scan_roots(lin, grid_n=128, disc=True)
+        assert linearize.scan_roots(lin, grid_n=128, disc=True) is first
         # the verdicts read the same stored scan
         assert linearize.rightmost_real_part(lin, grid_n=128) == max(first.roots.real)
         assert len(lin.scans) == 1
-        other = linearize.scan_roots(lin, grid_n=256)
+        other = linearize.scan_roots(lin, grid_n=256, disc=True)
         assert other is not first and len(lin.scans) == 2
+        # the full-span scan of a frequency window is kept beside the disc's
+        full = linearize.scan_roots(lin, grid_n=128)
+        assert full is not first and len(lin.scans) == 3
+        assert linearize.rightmost_in_window(lin, (0.0, 100.0), grid_n=128) == max(full.roots.real)
 
     def test_stored_roots_are_read_only(self, table1):
         _, _, lin = e2_lin(table1)
@@ -732,6 +739,223 @@ class TestCrawlAgainstThePlainSweep:
                     moved.append((l, delta0))
         # long delays, where a dense chain of roots lies just left of the axis
         assert all(l is not None and l >= 0.159 and delta0 <= 0.17 for l, delta0 in moved)
+
+
+#: verdict_points(2024, 94) indices of two long-delay points (l 1, delta0 0,
+#: T 407 and 515) where the full-span grid-512 sweep missed the rightmost
+#: root, the chain root of lowest frequency, with that root's real part
+#: from 40-digit Newton (mp_root).
+LONG_DELAY_VERDICTS = {1205: -5.743594763425851e-05, 1213: -9.005516270711528e-05}
+
+
+def full_span_verdict(lin, grid_n):
+    """The verdict before the disc, the slow reference: the rightmost root,
+    structural zero dropped, of the full-span scan that frequency windows
+    still use."""
+    roots = linearize._drop_structural_zero(linearize.scan_roots(lin, grid_n=grid_n).roots, lin)
+    return float(np.max(roots.real, initial=-math.inf))
+
+
+def stab_map_lins(seed, blocks=20):
+    """The linearizations of the benchmark's stab-map tasks, 25 a block."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("stab_map_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: workloads}):  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+    for block in range(blocks):
+        for task in workloads.stab_block(seed, block):
+            p = ModelParams(**task.params)
+            yield linearize.build_linearization(equilibria.solve_e2(p), p)
+
+
+def rhp_root_count(lin, indent=1e-7):
+    """Roots of char_fn with Re s > 0, by the argument principle: the
+    winding number of char_fn along the boundary of the half-disc Re s >= 0,
+    |s| <= root_radius(lin), with the imaginary axis indented past s = 0 by
+    ``indent`` into the right half-plane when delta0 = 0, so that the
+    structural zero lies outside.  The path is sampled at max(64, 8 rho T)
+    points a side of the axis and 256 on the arc; a stretch whose phase
+    turns by more than pi/2 is halved until none is left."""
+    rho = linearize.root_radius(lin)
+    eps = indent if lin.delta0 == 0.0 else 0.0
+
+    def point(u):  # u in [0, 4]: the arc, the axis down to eps, the indent, the axis on down
+        k = np.minimum(np.floor(u), 3.0)
+        t = u - k
+        arc = np.where(k == 0, rho, eps) * np.exp(1j * np.pi * np.where(k == 0, t - 0.5, 0.5 - t))
+        omega = np.where(k == 1, rho - (rho - eps) * t, -eps - (rho - eps) * t)
+        return np.where(k % 2 == 0, arc, 1j * omega)
+
+    n_axis = max(64, math.ceil(8 * rho * lin.t_delay))
+    u = np.concatenate([np.linspace(k, k + 1, n, endpoint=False)
+                        for k, n in enumerate((256, n_axis, 16, n_axis))] + [[4.0]])
+    for _ in range(60):
+        f = linearize.char_fn(point(u), lin)
+        turn = np.angle(f[1:] / f[:-1])
+        wide = np.flatnonzero(~(np.abs(turn) <= np.pi / 2))  # a NaN turn is refined too
+        if not wide.size:
+            winding = turn.sum() / (2 * np.pi)
+            assert abs(winding - round(winding)) <= 1e-6, winding
+            return round(winding)
+        u = np.insert(u, wide + 1, 0.5 * (u[wide] + u[wide + 1]))
+    raise AssertionError("the phase along the path did not resolve")
+
+
+def quartic_root(lin, sigma):
+    """The positive root of root_radius's quartic, from numpy's companion
+    matrix."""
+    e = math.exp(-sigma * lin.t_delay)
+    q2, q1, q0, r2, r1, r0, w2, w1, w0 = map(abs, lin.char_poly)
+    roots = np.roots([1.0, -(q2 + e * r2), -(q1 + e * r1 + (1 + e) * w2),
+                      -(q0 + e * r0 + (1 + e) * w1), -(1 + e) * w0])
+    return max(r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r))
+
+
+class TestRootCount:
+    """The argument-principle count, an independent check of the verdict:
+    a root lies right of the axis exactly where the verdict is positive."""
+
+    @pytest.mark.parametrize("case", [(*k, None) for k in E1_POINTS] + PINNED_E2,
+                             ids=lambda c: "-".join(map(str, c[:5])))
+    def test_agrees_on_the_pinned_points(self, case):
+        _, lin = pinned_lin(*case[:5])
+        verdict = linearize.rightmost_real_part(lin, grid_n=128 if case[0] == "E1" else 512)
+        assert (rhp_root_count(lin) > 0) == (verdict > 0), verdict
+
+    def test_agrees_on_the_verdict_sample(self):
+        for k, (l, delta0, lin) in enumerate(verdict_points(seed=2024, per_class=94)):
+            verdict = linearize.rightmost_real_part(lin)
+            assert (rhp_root_count(lin) > 0) == (verdict > 0), (k, l, delta0, verdict)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lin=sweep_lin())
+    def test_agrees_on_a_sample(self, lin):
+        verdict = linearize.rightmost_real_part(lin)
+        assert (rhp_root_count(lin) > 0) == (verdict > 0), verdict
+
+    def test_counts_the_unstable_pair(self):
+        # the pinned E2 point at delta0 0.17, l 0.159, m 15 has verdict 0.84
+        _, lin = pinned_lin("E2", 0.17, 0.159, 15.0, 20.0)
+        count = rhp_root_count(lin)
+        assert count >= 2 and count % 2 == 0
+
+
+class TestRootRadius:
+    """The disc rests on this bound: every root with Re s >= sigma lies in
+    |s| <= root_radius(lin, sigma)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lin=sweep_lin())
+    def test_bounds_every_root_the_full_sweep_finds(self, lin):
+        roots, ok = linearize._newton_batch(scan_seeds(lin, 512), lin)
+        roots = roots[ok]
+        verdict = float(np.max(linearize._drop_structural_zero(roots, lin).real,
+                               initial=-math.inf))
+        for sigma in (0.0, verdict):
+            rho = linearize.root_radius(lin, sigma)
+            # accepted iterates carry the root test's error, 1e-10 relative
+            assert (np.abs(roots[roots.real >= sigma]) <= rho * (1 + 1e-9)).all()
+            if math.isfinite(rho):
+                assert rho == pytest.approx(quartic_root(lin, sigma), rel=1e-9)
+
+    def test_grows_as_sigma_falls(self):
+        _, lin = pinned_lin("E2", 0.17, 0.159, 6.0, 4.0)
+        radii = [linearize.root_radius(lin, sigma) for sigma in (1.0, 0.0, -0.1, -1.0)]
+        assert radii == sorted(radii)
+        assert linearize.root_radius(lin, -math.inf) == math.inf
+
+
+class TestDiscAgainstTheFullSweep:
+    """The disc verdict against the full-span sweep it replaced: no sign
+    changes, and where a verdict moves, it moves right, to a root the full
+    sweep missed."""
+
+    @staticmethod
+    def assert_same_sign_or_right(lin, grid_n, where):
+        got = linearize.rightmost_real_part(lin, grid_n=grid_n)
+        want = full_span_verdict(lin, grid_n)
+        assert np.sign(got) == np.sign(want), (where, grid_n, got, want)
+        assert got >= want - 1e-9, (where, grid_n, got, want)
+
+    def test_no_verdict_changes_sign_on_the_verdict_sample(self):
+        for k, (_, _, lin) in enumerate(verdict_points(seed=2024, per_class=94)):
+            for grid_n in (128, 256, 512):
+                self.assert_same_sign_or_right(lin, grid_n, k)
+
+    @pytest.mark.parametrize("seed", [11, 43])
+    def test_no_verdict_changes_sign_on_stab_map_points(self, seed):
+        for k, lin in enumerate(stab_map_lins(seed)):
+            self.assert_same_sign_or_right(lin, 512, k)
+
+    def test_long_delay_verdicts_settle_on_the_lowest_chain_root(self):
+        points = list(verdict_points(seed=2024, per_class=94))
+        for k, want in LONG_DELAY_VERDICTS.items():
+            lin = points[k][2]
+            for grid_n in (128, 256, 512, 2048):
+                root = linearize._rightmost_root(lin, None, grid_n)
+                assert root.real == pytest.approx(want, abs=1e-15)
+                # the chain's first root, below its spacing 2 pi/T
+                assert 0 < root.imag < 2 * math.pi / lin.t_delay
+            assert full_span_verdict(lin, 512) < want
+
+
+class TestWidening:
+    """A disc scan whose verdict v gives a larger radius at min(v, 0) also
+    sweeps the annulus out to it."""
+
+    def test_the_annulus_finds_what_a_small_disc_missed(self):
+        _, lin = pinned_lin("E2", 0.17, 0.159, 6.0, 4.0)
+        want = linearize.rightmost_real_part(lin)
+        real_radius = linearize.root_radius
+        sweeps = []
+        real_batch = linearize._newton_batch
+
+        def small_at_zero(lin, sigma=0.0):  # the disc at 0 holds no root
+            return 0.05 if sigma == 0.0 else real_radius(lin, sigma)
+
+        def counted(seeds, lin):
+            sweeps.append(seeds)
+            return real_batch(seeds, lin)
+
+        copy = dataclasses.replace(lin)
+        with mock.patch.object(linearize, "root_radius", small_at_zero), \
+                mock.patch.object(linearize, "_newton_batch", counted):
+            got = linearize.rightmost_real_part(copy)
+        assert got == pytest.approx(want, abs=1e-12)
+        (disc, annulus) = sweeps
+        assert np.abs(disc).max() <= 0.05
+        assert np.abs(annulus).min() > 0.05
+        assert copy.scans[512, True].coverage == pytest.approx(
+            np.mean(real_batch(np.concatenate(sweeps), lin)[1]))
+
+
+class TestDiscSeeds:
+    """Seeds left of -_EXP_ROOM/T overflow exp(-s*T) on the first pass and
+    never move; the disc starts its real line right of there."""
+
+    @pytest.mark.parametrize("where", ["sweep point", "verdict point 1205"])
+    def test_every_disc_seed_has_a_finite_first_pass(self, where):
+        if where == "sweep point":
+            m, l, nt = 6.0, 0.159, 3.0  # SWEEP_POINT of scripts/time_layers.py, T 32.5
+            p = ModelParams(delta0=0.0, l=l, m=m, n_total=nt)
+            lin = linearize.build_linearization(equilibria.solve_e2(p), p)
+        else:
+            lin = next(itertools.islice(verdict_points(seed=2024, per_class=94), 1205, None))[2]
+        omega_max = linearize.default_omega_max(lin)
+        rho = min(linearize.root_radius(lin), omega_max)
+        # the disc, and the widest disc a scan can widen to
+        seeds = np.concatenate([linearize._disc_seeds(lin, 512, rho),
+                                linearize._disc_seeds(lin, 512, omega_max)])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f, df = linearize._char_newton(seeds, lin)
+            old = linearize.char_fn(scan_seeds(lin, 512), lin)
+        assert np.isfinite(linearize.char_fn(seeds, lin)).all()
+        assert np.isfinite(f).all() and np.isfinite(df).all()
+        # the widest disc's real line is cut short of -omega_max, and the
+        # full-span sweep's, which reaches it, overflows
+        assert seeds.real.min() >= -linearize._EXP_ROOM / lin.t_delay > -omega_max
+        assert not np.isfinite(old).all()
 
 
 class TestRootAcceptance:

@@ -52,8 +52,8 @@ def test_readme_library_quick_start(capsys):
 def test_time_layers_one_round(capsys):
     script = _load("time_layers")
     times = script.run(repeats=1)
-    assert len(times) == 23 and all(0 < t < float("inf") for t in times.values())
-    assert capsys.readouterr().out.count(" us\n") == 23
+    assert len(times) == 25 and all(0 < t < float("inf") for t in times.values())
+    assert capsys.readouterr().out.count(" us\n") == 25
 
 
 def test_time_layers_writes_json(tmp_path, capsys):
