@@ -307,22 +307,6 @@ def resolve_r_star(params: ModelParams) -> ModelParams:
     return params.with_r_star(float(model.r_growth(p_ref, params)))
 
 
-def equilibrium_spectrum(eq: EquilibriumPoint, s, params: ModelParams):
-    """Equilibrium juvenile density over maturity: gg*Z*h(P)/R(P) * exp(-delta0*s/R(P))."""
-    if eq.kind is EquilibriumKind.LIMIT_E0:
-        raise DomainError("the plankton-free limit point has no juvenile spectrum")
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0) or np.any(s_arr > params.m):
-        raise DomainError("maturity argument outside [0, m]")
-    if eq.z_star == 0.0:
-        out = np.zeros_like(s_arr)
-        return float(out) if np.ndim(s) == 0 else out
-    r = model.r_growth(eq.p_star, params)
-    amp = params.gamma * params.g * eq.z_star * model.h_grazing(eq.p_star, params) / r
-    out = amp * np.exp(-params.delta0 * s_arr / r)
-    return float(out) if np.ndim(s) == 0 else out
-
-
 def classify_and_sweep(params: ModelParams, nt_grid) -> list[SweepRow]:
     """Dominant equilibrium per total-biomass grid point.
 

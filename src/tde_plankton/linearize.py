@@ -21,16 +21,16 @@ plain floats by :func:`linearization_entries`; :func:`linearization_at`, the
 only constructor of :class:`LinearizationData`, keeps them in that record,
 which rebuilds its matrices from them on demand.
 
-Every root with Re s >= sigma lies in the disc |s| <= rho(sigma) of
-:func:`root_radius`, a Rouché-type envelope (Michiels & Niculescu, Stability
-and Stabilization of Time-Delay Systems, 2007; Stépán, Retarded Dynamical
-Systems, 1989) from the coefficient magnitudes of Q, R and S.  The verdict,
+Every root with Re s >= 0 lies in the disc |s| <= rho of :func:`root_radius`,
+a Rouché-type envelope (Michiels & Niculescu, Stability and Stabilization of
+Time-Delay Systems, 2007; Stépán, Retarded Dynamical Systems, 1989) from the
+coefficient magnitudes of Q, R and S.  The verdict,
 :func:`rightmost_real_part`, which backs every stability claim made elsewhere
-in the package, seeds Newton iteration only inside that disc at sigma = 0,
-widened once to rho(v) if the verdict v found is negative: imaginary-axis
-seeds at most pi/(2T) apart, grid_n setting their density (at most
-default_omega_max/(grid_n - 1) apart, at least grid_n // 8), and a real line.
-A frequency window's scan keeps the full span of :func:`default_omega_max`.
+in the package, seeds one Newton batch only inside that disc, capped at
+:func:`default_omega_max`: imaginary-axis seeds at most pi/(2T) apart, grid_n
+setting their density (at most default_omega_max/(grid_n - 1) apart, at least
+grid_n // 8), and a real line.  A frequency window's scan keeps the full span
+of :func:`default_omega_max`.
 Each pass takes value and exact derivative by Horner on Q, R and S in place
 over the seeds still moving, the kernel's series only at those inside its
 switch circle (a seed stops once its step is not above tol relative to the
@@ -455,26 +455,23 @@ class RootScan:
 
 
 def default_omega_max(lin: LinearizationData) -> float:
+    """10 max(rate_scale, 1, 1/T), the 1/T term only with a delay: the cap on
+    the verdict's disc, and the span of a frequency window's scan."""
     rates = [lin.rate_scale, 1.0]
     if lin.t_delay > 0:
         rates.append(1.0 / lin.t_delay)
     return 10.0 * max(rates)
 
 
-def root_radius(lin: LinearizationData, sigma: float = 0.0) -> float:
-    """Radius rho of a disc |s| <= rho holding every root with Re s >= sigma:
-    there |exp(-s*T)| <= E = exp(-sigma*T) and |K(s)| <= (1 + E)/|s|, so
-    |Q| <= E|R| + (1 + E)|S|/|s|, and with char_poly's coefficient magnitudes
-    p(|s|) <= 0 for p(r) = r^4 - c3 r^3 - c2 r^2 - c1 r - c0.  rho is its one
-    positive root; p is convex right of rho, so Newton from Fujiwara's bound
-    stays above it."""
-    try:
-        big_e = math.exp(-sigma * lin.t_delay) if lin.t_delay else 1.0
-    except OverflowError:
-        return math.inf
+def root_radius(lin: LinearizationData) -> float:
+    """Radius rho of a disc |s| <= rho holding every root with Re s >= 0:
+    there |exp(-s*T)| <= 1 and |K(s)| <= 2/|s|, so |Q| <= |R| + 2|S|/|s|,
+    and with char_poly's coefficient magnitudes p(|s|) <= 0 for
+    p(r) = r^4 - c3 r^3 - c2 r^2 - c1 r - c0.  rho is its one positive root;
+    p is convex right of rho, so Newton from Fujiwara's bound stays above
+    it."""
     q2, q1, q0, r2, r1, r0, w2, w1, w0 = map(abs, lin.char_poly)
-    c3, c2 = q2 + big_e * r2, q1 + big_e * r1 + (1 + big_e) * w2
-    c1, c0 = q0 + big_e * r0 + (1 + big_e) * w1, (1 + big_e) * w0
+    c3, c2, c1, c0 = q2 + r2, q1 + r1 + 2.0 * w2, q0 + r0 + 2.0 * w1, 2.0 * w0
     r = 2.0 * max(c3, c2 ** 0.5, c1 ** (1 / 3), (c0 / 2) ** 0.25)
     while 0.0 < r < math.inf:
         step = ((((r - c3) * r - c2) * r - c1) * r - c0) / (
@@ -498,12 +495,9 @@ def _disc_seeds(lin: LinearizationData, grid_n: int, rho: float) -> np.ndarray:
 
 
 def scan_roots(lin: LinearizationData, grid_n: int = 512, disc: bool = False) -> RootScan:
-    """Newton root sweep from imaginary-axis seeds up to
+    """One Newton batch from imaginary-axis seeds up to
     :func:`default_omega_max` plus a real-axis line, or, with ``disc``, from
-    seeds in the disc of :func:`root_radius` at 0; where the rightmost root
-    v found (structural zero dropped) gives a larger radius at min(v, 0),
-    the seeds of that disc outside the first are swept too, once, since
-    merging moves v right only.  Both radii are capped at
+    the seeds of the disc of :func:`root_radius`, its radius capped at
     :func:`default_omega_max`.
 
     Kept on ``lin``: a repeat returns the same scan, with read-only roots.
@@ -515,8 +509,7 @@ def scan_roots(lin: LinearizationData, grid_n: int = 512, disc: bool = False) ->
         return scan
     omega_max = default_omega_max(lin)
     if disc:
-        rho = min(root_radius(lin), omega_max)
-        seeds = _disc_seeds(lin, grid_n, rho)
+        seeds = _disc_seeds(lin, grid_n, min(root_radius(lin), omega_max))
     else:
         seeds = np.concatenate(
             [
@@ -525,13 +518,6 @@ def scan_roots(lin: LinearizationData, grid_n: int = 512, disc: bool = False) ->
             ]
         )
     roots, ok = _newton_batch(seeds, lin)
-    if disc:
-        found = _drop_structural_zero(roots[ok], lin).real
-        wide = min(root_radius(lin, min(float(np.max(found, initial=-math.inf)), 0.0)), omega_max)
-        if wide > rho:
-            more = _disc_seeds(lin, grid_n, wide)
-            more = _newton_batch(more[np.abs(more) > rho], lin)
-            roots, ok = np.concatenate([roots, more[0]]), np.concatenate([ok, more[1]])
     coverage = float(np.mean(ok))
     kept = roots[ok]
     # conjugate symmetry: fold onto the upper half plane

@@ -17,8 +17,7 @@ the nutrient level at time zero.
 
 Each run comes back with its physical-time clock.  Diagnostics read the
 run's own parameters to reconstruct the juvenile maturity spectrum, measure
-the threshold-delay residual, and fit the decay rate of a deliberately
-injected conservation offset.
+the threshold-delay residual and the oscillation frequency.
 """
 
 from __future__ import annotations
@@ -491,52 +490,3 @@ def measure_frequency(traj: Trajectory) -> float | None:
     cross = t[ups] - y[ups] * (t[ups + 1] - t[ups]) / (y[ups + 1] - y[ups])
     period = (cross[-1] - cross[0]) / (ups.size - 1)
     return 2.0 * math.pi / period
-
-
-@dataclass(frozen=True)
-class DeltaDecayReport:
-    """Outcome of tracking a deliberately injected conservation offset."""
-
-    kind: str  # "decay_fit" | "conserved" | "zero"
-    rate: float | None
-    delta_initial: float
-    max_abs_deviation: float
-
-
-def delta_decay_check(
-    spec: HistorySpec,
-    params: ModelParams,
-    dt_hat: float,
-    horizon_hat: float,
-) -> DeltaDecayReport:
-    """Fit the decay rate of the conservation mismatch along a run.
-
-    The mismatch obeys d(Delta)/dt = -delta0 * Delta in physical time, so
-    the log-magnitude slope recovers -delta0.  With delta0 = 0 (or a
-    sign-crossing mismatch) the report carries the deviation from constancy
-    instead of a rate.
-    """
-    traj = integrate(build_initial(spec, params, dt_hat), horizon_hat)
-    delta = traj.cons_residual
-    d0 = float(delta[0])
-    if abs(d0) < 1e-13 * params.n_total:
-        return DeltaDecayReport(
-            kind="zero", rate=None, delta_initial=d0,
-            max_abs_deviation=float(np.max(np.abs(delta))),
-        )
-    if params.delta0 == 0.0 or np.any(delta * d0 <= 0):
-        return DeltaDecayReport(
-            kind="conserved", rate=None, delta_initial=d0,
-            max_abs_deviation=float(np.max(np.abs(delta - d0))),
-        )
-    # fit while the mismatch stays well above the quadrature noise floor
-    keep = np.abs(delta) >= 1e-2 * abs(d0)
-    idx = np.where(~keep)[0]
-    stop = idx[0] if idx.size else delta.size
-    t_fit = traj.t[:stop]
-    y_fit = np.log(np.abs(delta[:stop]))
-    slope = float(np.polyfit(t_fit, y_fit, 1)[0])
-    return DeltaDecayReport(
-        kind="decay_fit", rate=slope, delta_initial=d0,
-        max_abs_deviation=float(np.max(np.abs(delta - d0))),
-    )

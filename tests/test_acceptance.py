@@ -14,6 +14,8 @@ from tde_plankton.continuation import TraceOptions
 from tde_plankton.model import ModelParams
 from tde_plankton.simulate import HistorySpec, Termination
 
+from conftest import delta_decay_check
+
 DELTA = 0.17
 
 
@@ -266,14 +268,14 @@ def test_criterion_10_conservation_mismatch_decay():
     p = equilibria.resolve_r_star(params_for(DELTA, 0.159, 6.0, 10 ** 0.49))
     big_t = p.m / p.r_star
     spec = HistorySpec.at_equilibrium(0, 0, n0_offset=0.05 * p.n_total)
-    rep = simulate.delta_decay_check(spec, p, big_t / 200, 400.0)
+    rep = delta_decay_check(spec, p, big_t / 200, 400.0)
     fit_ok = rep.kind == "decay_fit" and abs(rep.rate + DELTA) <= 0.02 * DELTA
 
     p0 = equilibria.resolve_r_star(params_for(0.0, 0.159, 6.0, 10 ** 0.49))
     big_t0 = p0.m / p0.r_star
     spec0 = HistorySpec.at_equilibrium(0, 0, n0_offset=0.05 * p0.n_total)
     devs = [
-        simulate.delta_decay_check(spec0, p0, big_t0 / panels, 300.0).max_abs_deviation
+        delta_decay_check(spec0, p0, big_t0 / panels, 300.0).max_abs_deviation
         for panels in (200, 400)
     ]
     ratio = devs[0] / devs[1]

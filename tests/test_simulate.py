@@ -17,6 +17,8 @@ from tde_plankton.model import ModelParams, StateNPZ
 from tde_plankton.presets import preset_values
 from tde_plankton.simulate import HistorySpec, Termination
 
+from conftest import delta_decay_check, equilibrium_spectrum
+
 
 def fig6_params(nt=10 ** 0.49):
     return equilibria.resolve_r_star(
@@ -629,7 +631,7 @@ class TestReconstructRho:
         traj = simulate.integrate(buf, 30.0)
         s = np.linspace(0.0, p.m, 13)
         rho = simulate.reconstruct_rho(traj, float(traj.t[-1]), s)
-        expect = equilibria.equilibrium_spectrum(e2, s, p)
+        expect = equilibrium_spectrum(e2, s, p)
         assert np.max(np.abs(rho - expect) / expect) <= 1e-6
 
     def test_matches_a_node_by_node_loop(self):
@@ -693,7 +695,7 @@ class TestDeltaDecay:
         p = fig6_params()
         big_t = p.m / p.r_star
         spec = HistorySpec.at_equilibrium(0, 0, n0_offset=0.05 * p.n_total)
-        rep = simulate.delta_decay_check(spec, p, big_t / 200, 400.0)
+        rep = delta_decay_check(spec, p, big_t / 200, 400.0)
         assert rep.kind == "decay_fit"
         assert rep.rate == pytest.approx(-p.delta, rel=0.02)
 
@@ -703,7 +705,7 @@ class TestDeltaDecay:
         )
         big_t = p.m / p.r_star
         spec = HistorySpec.at_equilibrium(0, 0, n0_offset=0.05 * p.n_total)
-        rep = simulate.delta_decay_check(spec, p, big_t / 200, 400.0)
+        rep = delta_decay_check(spec, p, big_t / 200, 400.0)
         assert rep.kind == "conserved"
         assert rep.max_abs_deviation <= 5e-3 * abs(rep.delta_initial)
 
@@ -712,7 +714,7 @@ class TestDeltaDecay:
             ModelParams(delta0=0.0, l=0.159, m=6.0, n_total=10 ** 0.49)
         )
         big_t = p.m / p.r_star
-        rep = simulate.delta_decay_check(
+        rep = delta_decay_check(
             HistorySpec.at_equilibrium(0, 0), p, big_t / 200, 50.0
         )
         assert rep.kind == "zero"
