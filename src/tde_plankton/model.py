@@ -211,40 +211,37 @@ def dde_rhs(
     """
     if not (current.p > 0 and delayed.p > 0):
         raise DomainError("dde_rhs requires strictly positive phytoplankton samples")
-    params.require_r_star()
+    rs = params.require_r_star()
     _check_nonneg(current.n, "n")
-    return StateNPZ(*rhs_kernel(params)(
-        current.n, current.p, current.z, delayed.p, delayed.z, tau_hat_m
-    ))
+    # R(P) as r_growth gives it: p / (p + 0) is exactly 1 for positive p
+    el = 0.0 if params.l is None else params.l
+    r_cur = current.p / (current.p + el)
+    r_del = delayed.p / (delayed.p + el)
+    if r_cur < params.r_floor or r_del < params.r_floor:
+        raise SingularRateError(f"growth rate below floor {params.r_floor:g} "
+                                "(approaching the phase-space boundary)")
+    return StateNPZ(*rhs_kernel(params)(current.n, current.p, current.z, rs / r_cur,
+                                        delayed.p, delayed.z, rs / r_del, tau_hat_m))
 
 
 def rhs_kernel(params: ModelParams):
     """Unvalidated :func:`dde_rhs` on plain floats, with ``params`` bound.
 
-    Returns ``rhs(n, p, z, p_del, z_del, tau_hat_m) -> (dn, dp, dz)``, built
-    once per run so the integrator loop reads no parameter attribute.  The
-    caller guarantees p, p_del > 0, n >= 0 and a resolved r_star; the
-    singular-rate guard stays here because it depends on the values.
+    Returns ``rhs(n, p, z, pref, p_del, z_del, pref_del, tau_hat_m) -> (dn, dp, dz)``,
+    built once per run so the integrator loop reads no parameter attribute.
+    The caller passes the r_star/R(P) factors ``pref`` and ``pref_del`` of
+    both samples and guarantees p, p_del > 0, n >= 0 and that both rates
+    passed ``params.r_floor``; the kernel computes no R and raises nothing.
     """
     mu, lam, g, delta, delta0 = params.mu, params.lam, params.g, params.delta, params.delta0
-    k, kk, n_total, rs = params.k, params.kk, params.n_total, params.r_star
-    r_floor = params.r_floor
-    # p / (p + 0) is exactly 1 for the positive p the kernel is given
-    el = 0.0 if params.l is None else params.l
+    k, kk, n_total = params.k, params.kk, params.n_total
     gg, recycled = params.gamma * g, 1.0 - params.gamma
 
-    def rhs(n, p, z, p_del, z_del, tau_hat_m):
-        r_cur = p / (p + el)
-        r_del = p_del / (p_del + el)
-        if r_cur < r_floor or r_del < r_floor:
-            raise SingularRateError(
-                f"growth rate below floor {r_floor:g} (approaching the phase-space boundary)"
-            )
-        pref = rs / r_cur
+    def rhs(n, p, z, pref, p_del, z_del, pref_del, tau_hat_m):
         growth = mu * p * (n / (n + k))
         graze = g * z * (p / (p + kk))
         recycle = lam * p + delta * z + recycled * graze + delta0 * (n_total - n - p - z)
-        birth = gg * math.exp(-delta0 * tau_hat_m) * (rs / r_del) * z_del * (p_del / (p_del + kk))
+        birth = gg * math.exp(-delta0 * tau_hat_m) * pref_del * z_del * (p_del / (p_del + kk))
         return (
             pref * (-growth + recycle),
             pref * (growth - lam * p - graze),

@@ -219,8 +219,11 @@ def integrate(
     the Euler predictor with the lag updated by the predicted panel; the
     state advances by the stage average.  A step that crosses the extinction
     floor terminates the run at the crossing, located by linear
-    interpolation inside the step.  The ``cons_residual`` and physical-time
-    columns are computed after the loop from the stored samples.
+    interpolation inside the step.  Stored samples are held to the rate
+    floor as they are written: a predictor below it ends the run in
+    ``singular_rate`` and a corrected sample below it raises.  The
+    ``cons_residual`` and physical-time columns are computed after the loop
+    from the stored samples.
     """
     params = buf.params
     dt = buf.dt_hat
@@ -247,24 +250,20 @@ def integrate(
     tau_drift_max = 0.0
     crossing = None
     rhs = model.rhs_kernel(params)
-    # R(p) = p / (p + el) at the predictor and the new sample, as in rhs
+    # R(p) = p / (p + el) at the predictor and the new sample, as in dde_rhs
     el, r_floor = (0.0 if params.l is None else params.l), params.r_floor
     half_dt = 0.5 * dt
 
-    # the loop carries the current node, its r_star/R factor and stage one's
-    # delayed sample, which is stage two's delayed sample of the step before
+    # the loop carries the current node and stage one's delayed sample (stage
+    # two's delayed sample of the step before), each with its r_star/R factor
     i = lag  # the last sample written, at t_hat = 0 before the first step
     t_now, cn, cp, cz, inv_r_now = t_v[i], n_v[i], p_v[i], z_v[i], r_v[i]
     p_del, z_del, inv_r_del = p_v[0], z_v[0], r_v[0]
+    # only the history's last sample can start at or below the extinction floor
+    if cp <= p_floor and n_steps > 0:
+        termination, n_steps = Termination.EXTINCTION, 0
     for step in range(1, n_steps + 1):
-        if cp <= p_floor:
-            termination = Termination.EXTINCTION
-            break
-        try:
-            k1n, k1p, k1z = rhs(cn, cp, cz, p_del, z_del, tau_now)
-        except SingularRateError:
-            termination = Termination.SINGULAR_RATE
-            break
+        k1n, k1p, k1z = rhs(cn, cp, cz, inv_r_now, p_del, z_del, inv_r_del, tau_now)
 
         pn, pp, pz = cn + dt * k1n, cp + dt * k1p, cz + dt * k1z
         if pp <= p_floor:
@@ -276,22 +275,23 @@ def integrate(
         if pn < 0:
             raise DomainError(f"predictor left the positive domain; {finer}")
 
-        # lag over the predicted window: add the new panel, drop the oldest;
-        # a predictor below the rate floor ends the run in stage two's rhs
+        r_pred = pp / (pp + el)
+        if r_pred < r_floor:
+            termination = Termination.SINGULAR_RATE
+            break
+        inv_r_pred = rs / r_pred
+
+        # lag over the predicted window: add the new panel, drop the oldest
         if lag > 0:
             d = i + 1 - lag
             p_del, z_del, inv_r_next = p_v[d], z_v[d], r_v[d]
             oldest = half_dt * (inv_r_del + inv_r_next)
-            tau_pred = tau_now + half_dt * (inv_r_now + rs / (pp / (pp + el))) - oldest
+            tau_pred = tau_now + half_dt * (inv_r_now + inv_r_pred) - oldest
         else:
             # no delay: the "delayed" sample at the next node is the node itself
             tau_pred = 0.0
-            p_del, z_del = pp, pz
-        try:
-            k2n, k2p, k2z = rhs(pn, pp, pz, p_del, z_del, tau_pred)
-        except SingularRateError:
-            termination = Termination.SINGULAR_RATE
-            break
+            p_del, z_del, inv_r_next = pp, pz, inv_r_pred
+        k2n, k2p, k2z = rhs(pn, pp, pz, inv_r_pred, p_del, z_del, inv_r_next, tau_pred)
 
         n_new = cn + half_dt * (k1n + k2n)
         p_new = cp + half_dt * (k1p + k2p)
@@ -326,7 +326,7 @@ def integrate(
             inv_r_del = inv_r_next
         else:
             tau_new = 0.0
-            p_del, z_del = p_new, z_new
+            p_del, z_del, inv_r_del = p_new, z_new, inv_r_new
         tau_v[step] = tau_now = tau_new
         cn, cp, cz, inv_r_now = n_new, p_new, z_new, inv_r_new
 

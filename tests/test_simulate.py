@@ -214,7 +214,7 @@ class TestIntegrate:
 
     def test_rate_floor_in_the_predictor_ends_the_run(self):
         # the collapsing phytoplankton drives R(p) below r_floor at a
-        # predictor, and stage two's singular-rate guard ends the run there
+        # predictor, and the step loop's rate-floor test ends the run there
         spec, p, dt_hat, horizon = _rate_floor_run()
         traj = simulate.integrate(simulate.build_initial(spec, p, dt_hat), horizon)
         assert traj.termination is Termination.SINGULAR_RATE
@@ -267,6 +267,11 @@ def _rate_floor_run():
         ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=nt, r_floor=1e-4)
     )
     return HistorySpec.constant(0.3 * nt, 0.1 * nt), p, p.m / p.r_star / 2000, 120.0
+
+
+def _extinct_history_run():
+    p = equilibria.resolve_r_star(ModelParams(delta0=0.17, l=0.159, m=6.0, n_total=1.0))
+    return HistorySpec.constant(5e-13, 0.1), p, p.m / p.r_star / 200, 10.0
 
 
 def _integrate_reference(buf, horizon_hat, tau_refresh_interval=simulate.TAU_REFRESH_INTERVAL):
@@ -367,6 +372,7 @@ class TestAgainstTheReferenceLoop:
         (_run_without_delay, Termination.HORIZON_REACHED, None),
         (_extinction_run, Termination.EXTINCTION, None),
         (_rate_floor_run, Termination.SINGULAR_RATE, 89),
+        (_extinct_history_run, Termination.EXTINCTION, 1),
     ])
     def test_every_column_is_bit_equal(self, make, termination, rows):
         spec, p, dt_hat, horizon = make()
